@@ -3,23 +3,28 @@ GO ?= go
 # Benchmarks tracked in BENCH_throughput.json: the simulator hot-loop
 # throughput benches, two representative figure benches, the sweep
 # pair whose ratio is the shared-warmup amortization factor, and the
-# 8-core pair whose ratio is the parallel-engine speedup.
-TRACKED_BENCH = SimulatorThroughput|Fig7$$|Fig8$$|SweepColdWarmup$$|SweepSharedWarmup$$|MultiCoreSeqThroughput$$|ParallelThroughput$$
+# 8-core multi-core throughput bench.
+TRACKED_BENCH = SimulatorThroughput|Fig7$$|Fig8$$|SweepColdWarmup$$|SweepSharedWarmup$$|MultiCoreSeqThroughput$$
 BENCH_FILE   = BENCH_throughput.json
 
-.PHONY: check build vet test determinism audit bench benchsmoke benchdiff benchgate fuzz serve-smoke obs-smoke chaos-smoke dist-smoke
+.PHONY: check build fmt vet test determinism audit bench benchsmoke benchdiff benchgate fuzz serve-smoke obs-smoke chaos-smoke
 
 # Tier-1 gate: everything must pass before a change lands. `test` runs
 # -race over every package — including the session-concurrency and
 # serve suites (internal/experiments, internal/serve); serve-smoke,
-# obs-smoke, chaos-smoke and dist-smoke exercise the built ipcpd binary
-# end to end; benchgate holds the shared-warmup amortization ratio and
-# guards tracked instr/s against structural collapse (see benchgate
-# below).
-check: build vet test determinism audit benchgate fuzz serve-smoke obs-smoke chaos-smoke dist-smoke
+# obs-smoke and chaos-smoke exercise the built ipcpd binary end to end;
+# benchgate holds the shared-warmup amortization ratio and guards
+# tracked instr/s against structural collapse (see benchgate below).
+check: build fmt vet test determinism audit benchgate fuzz serve-smoke obs-smoke chaos-smoke
 
 build:
 	$(GO) build ./...
+
+# Formatting gate: fails listing every file gofmt would rewrite.
+fmt:
+	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
+		echo "gofmt needed on:"; echo "$$out"; exit 1; \
+	fi
 
 vet:
 	$(GO) vet ./...
@@ -28,23 +33,20 @@ test:
 	$(GO) test -race ./...
 
 # Golden equivalence: fast-forwarded scheduler vs cycle-by-cycle
-# reference, run-to-run repeatability, and the parallel epoch-barrier
-# engine vs the sequential scheduler (already part of `test`; kept as
-# its own gate so a perf change can run just this, fast).
+# reference, run-to-run repeatability, and forked vs cold runs
+# (already part of `test`; kept as its own gate so a perf change can
+# run just this, fast).
 determinism:
-	$(GO) test ./internal/sim -run 'Determinism|FastForward|Parallel' -count=1
+	$(GO) test ./internal/sim -run 'Determinism|FastForward' -count=1
 
 # Differential audit: every bundled workload through the fully audited
 # system (shadow caches + paper-faithful IPCP oracles in lockstep),
 # fast-forward on and off, diffed; plus the fork-vs-cold differential
-# that holds every warmup-forked run to byte-identity with a cold run,
-# and the parallel-vs-sequential differential that holds the parallel
-# epoch-barrier engine to byte-identity on multi-core mixes (up to 8
-# cores under AUDIT_FULL). No -race: the harness is already several
-# times slower than the plain simulation, and `test` covers the subset
-# under -race.
+# that holds every warmup-forked run to byte-identity with a cold run.
+# No -race: the harness is already several times slower than the plain
+# simulation, and `test` covers the subset under -race.
 audit:
-	AUDIT_FULL=1 $(GO) test ./internal/audit -run 'TestDifferentialSuite|TestDeepThrottleRun|TestForkDifferentialSuite|TestParallelDifferentialSuite' -count=1
+	AUDIT_FULL=1 $(GO) test ./internal/audit -run 'TestDifferentialSuite|TestDeepThrottleRun|TestForkDifferentialSuite' -count=1
 
 # Timed run of the tracked benchmarks, appended to $(BENCH_FILE).
 bench:
@@ -58,8 +60,7 @@ benchdiff:
 		| $(GO) run ./cmd/benchrecord -diff $(BENCH_FILE)
 
 # Perf gate for `make check`. Two checks, calibrated for a shared
-# single-CPU host whose absolute speed drifts tens of percent between
-# runs:
+# host whose absolute speed drifts tens of percent between runs:
 #  1. ratio gate — SweepSharedWarmup must deliver >=2x SweepColdWarmup
 #     instr/s *within the same run*; host drift is common-mode there,
 #     so the amortization factor is stable even when absolutes are not
@@ -67,24 +68,11 @@ benchdiff:
 #  2. absolute gate — >50% instr/s drop against the recorded history
 #     fails; that catches structural collapses (a disabled fast path, a
 #     sweep gone cold) that no plausible host drift explains.
-# On hosts with >=4 CPUs a third check runs: the parallel epoch-barrier
-# engine must deliver >=2.5x the sequential scheduler's aggregate
-# instr/s on the 8-core mix. Single-CPU hosts skip it (parallelism
-# cannot beat sequential without real cores; the pair is still timed
-# and history-gated above). `make benchdiff` keeps the tight 10%
-# tolerance for quiet machines.
+# `make benchdiff` keeps the tight 10% tolerance for quiet machines.
 benchgate:
 	$(GO) test -run '^$$' -bench '$(TRACKED_BENCH)' -benchmem -benchtime=2s -count=3 . \
 		| $(GO) run ./cmd/benchrecord -diff $(BENCH_FILE) -tolerance 0.5 \
 		  -gate-fast BenchmarkSweepSharedWarmup -gate-slow BenchmarkSweepColdWarmup -gate-min 2.0
-	@if [ "$$(nproc)" -ge 4 ]; then \
-		$(GO) test -run '^$$' -bench 'MultiCoreSeqThroughput$$|ParallelThroughput$$' -benchmem -benchtime=2s -count=3 . \
-			| $(GO) run ./cmd/benchrecord -diff $(BENCH_FILE) -tolerance 0.5 \
-			  -gate-fast BenchmarkParallelThroughput -gate-slow BenchmarkMultiCoreSeqThroughput -gate-min 2.5; \
-	else \
-		echo "benchgate: $$(nproc) CPU(s) < 4; skipping the parallel speedup ratio gate" \
-		     "(the epoch-barrier engine needs real cores to outrun the sequential scheduler)"; \
-	fi
 
 # Smoke-run every benchmark once (no timing significance).
 benchsmoke:
@@ -117,10 +105,3 @@ obs-smoke:
 # via injected fault (IPCPD_CHAOS) at the queue handoff and recover.
 chaos-smoke:
 	$(GO) test ./cmd/ipcpd -run '^TestChaosSmoke$$' -count=1 -v
-
-# End-to-end distributed smoke: boot a real coordinator and two real
-# workers, submit one parameter grid via POST /v1/sweeps, kill -9 a
-# worker mid-sweep, and demand every acknowledged point still reach a
-# result — with the reassignment visible on the coordinator's metrics.
-dist-smoke:
-	$(GO) test ./cmd/ipcpd -run '^TestDistSmoke$$' -count=1 -v

@@ -279,6 +279,49 @@ func BenchmarkSimulatorThroughputSteady(b *testing.B) {
 	b.ReportMetric(instrPerOp*float64(b.N)/b.Elapsed().Seconds(), "instr/s")
 }
 
+// benchMix8 spans the paper's Fig. 15 spatial classes twice over:
+// dense streaming (lbm, bwaves, roms), irregular (mcf, omnetpp),
+// constant stride (exchange2), and big-code (gcc, xalancbmk).
+var benchMix8 = []string{
+	"lbm-94", "mcf-1536", "bwaves-2931", "exchange2-387",
+	"roms-1070", "omnetpp-17", "gcc-2226", "xalancbmk-165",
+}
+
+// BenchmarkMultiCoreSeqThroughput measures the multi-core inner loop:
+// the 8-core mix, warmed outside the timer, advanced by a fixed
+// per-core instruction count per iteration. It reports *aggregate*
+// instr/s (instructions summed across all cores).
+func BenchmarkMultiCoreSeqThroughput(b *testing.B) {
+	const instrPerCorePerOp = 5_000
+	cfg := sim.PaperConfig(len(benchMix8))
+	cfg.L1DPrefetcher = sim.PrefetcherSpec{Name: "ipcp"}
+	cfg.L2Prefetcher = sim.PrefetcherSpec{Name: "ipcp"}
+	streams := make([]trace.Stream, len(benchMix8))
+	for i, name := range benchMix8 {
+		w, err := workload.Named(name)
+		if err != nil {
+			b.Fatal(err)
+		}
+		streams[i] = w.New(1)
+	}
+	sys, err := sim.Build(cfg, streams)
+	if err != nil {
+		b.Fatal(err)
+	}
+	// Warm the pools, rings, and page tables past their growth phase.
+	if err := sys.Advance(20_000); err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := sys.Advance(instrPerCorePerOp); err != nil {
+			b.Fatal(err)
+		}
+	}
+	aggregate := float64(instrPerCorePerOp * len(benchMix8))
+	b.ReportMetric(aggregate*float64(b.N)/b.Elapsed().Seconds(), "instr/s")
+}
+
 // --- sweep amortization ---------------------------------------------------
 
 // sweepBenchScale reflects sweep methodology: a long shared warmup

@@ -3,24 +3,6 @@
 //
 //	ipcpd -addr 127.0.0.1:8799 -scale quick -cache-dir .ipcp-cache
 //
-// It also hosts the distributed sweep tier. One process runs the
-// coordinator; any number run as workers that register with it:
-//
-//	ipcpd -coordinator -addr 127.0.0.1:8800 -data-dir .ipcp-coord
-//	ipcpd -addr 127.0.0.1:0 -worker http://127.0.0.1:8800
-//
-//	curl -s -X POST localhost:8800/v1/sweeps \
-//	    -d '{"workloads":["mcf-994","gcc-13"],"l1d":["off","ipcp"]}'
-//	curl -s localhost:8800/v1/sweeps/s000001          # merged report
-//	curl -sN localhost:8800/v1/sweeps/s000001/events  # partial aggregation
-//
-// A worker forces -shared-warmup (the sweep methodology), registers
-// over HTTP, heartbeats, and attaches the coordinator's shared blob
-// store behind its disk cache so any worker's checkpoint is every
-// worker's disk hit. The coordinator shards each sweep's grid by
-// warmup identity, fans points out through the workers' /v1/runs API,
-// and reassigns points when a worker misses heartbeats.
-//
 //	curl -s localhost:8799/healthz
 //	curl -s -X POST localhost:8799/v1/runs -H 'X-Request-ID: demo' \
 //	    -d '{"workloads":["mcf-994"],"l1d":"ipcp","l2":"ipcp"}'
@@ -62,12 +44,10 @@ import (
 	"net/http/pprof"
 	"os"
 	"os/signal"
-	"runtime"
 	"syscall"
 	"time"
 
 	"ipcp/internal/chaos"
-	"ipcp/internal/coord"
 	"ipcp/internal/experiments"
 	"ipcp/internal/serve"
 )
@@ -78,7 +58,6 @@ func main() {
 		scale        = flag.String("scale", "quick", "simulation scale: quick | default")
 		warmup       = flag.Uint64("warmup", 0, "override warmup instructions")
 		measure      = flag.Uint64("measure", 0, "override measured instructions")
-		parallel     = flag.Bool("parallel", false, "step multi-core mixes with the parallel epoch-barrier engine (bit-identical results)")
 		cacheDir     = flag.String("cache-dir", "", "checkpoint finished simulations here and serve them across restarts")
 		queueSize    = flag.Int("queue", 64, "bounded job backlog; a full queue rejects with 429")
 		workers      = flag.Int("workers", 0, "concurrent job runners (0 = NumCPU)")
@@ -90,11 +69,6 @@ func main() {
 		logLevel     = flag.String("log-level", "info", "log verbosity: debug | info | warn | error")
 		logFormat    = flag.String("log-format", "text", "log encoding: text | json")
 		debugAddr    = flag.String("debug-addr", "", "serve net/http/pprof on this address (off when empty)")
-
-		coordinator = flag.Bool("coordinator", false, "run as the sweep coordinator instead of a simulation daemon")
-		dataDir     = flag.String("data-dir", ".ipcp-coord", "coordinator: shared blob store directory")
-		heartbeat   = flag.Duration("heartbeat", 5*time.Second, "coordinator: declare a worker lost after this silent window")
-		workerOf    = flag.String("worker", "", "register with the coordinator at this URL and serve sweep points (forces -shared-warmup)")
 	)
 	flag.Parse()
 
@@ -132,7 +106,6 @@ func main() {
 	if *measure != 0 {
 		sc.Measure = *measure
 	}
-	sc.Parallel = *parallel
 
 	fatal := func(err error) {
 		logger.Error("fatal", "err", err)
@@ -147,34 +120,6 @@ func main() {
 		fatal(err)
 	}
 
-	if *coordinator {
-		if *workerOf != "" {
-			fatal(fmt.Errorf("-coordinator and -worker are mutually exclusive"))
-		}
-		runCoordinator(*addr, *dataDir, *heartbeat, logger, fatal)
-		return
-	}
-
-	// Worker mode: sweep points arrive as ordinary /v1/runs jobs, but
-	// the methodology is fixed — shared warmups (so a group's points
-	// fork one local snapshot) over a disk cache wired to the
-	// coordinator's blob store (so nothing is computed twice anywhere
-	// in the fleet). A worker with no -cache-dir gets a private
-	// temporary one; the durable tier is the coordinator's.
-	var remoteBlobs experiments.RemoteBlobs
-	if *workerOf != "" {
-		*sharedWarmup = true
-		if *cacheDir == "" {
-			dir, err := os.MkdirTemp("", "ipcpd-worker-cache-")
-			if err != nil {
-				fatal(err)
-			}
-			defer os.RemoveAll(dir)
-			*cacheDir = dir
-		}
-		remoteBlobs = coord.NewBlobClient(*workerOf, logger)
-	}
-
 	srv, err := serve.New(serve.Options{
 		Scale:        sc,
 		CacheDir:     *cacheDir,
@@ -184,7 +129,6 @@ func main() {
 		JournalDir:   *journalDir,
 		StallTimeout: *stallTimeout,
 		SharedWarmup: *sharedWarmup,
-		RemoteBlobs:  remoteBlobs,
 		Log:          logger,
 	})
 	if err != nil {
@@ -202,20 +146,6 @@ func main() {
 	logger.Info("serving",
 		"addr", "http://"+ln.Addr().String(), "scale", *scale, "queue", *queueSize,
 		"revision", build.Revision, "go", build.GoVersion)
-
-	// Register with the coordinator once the listen address is known.
-	// The agent keeps the registration alive for the process lifetime;
-	// a coordinator outage degrades this daemon to standalone serving.
-	var agentCancel context.CancelFunc
-	if *workerOf != "" {
-		capacity := *workers
-		if capacity <= 0 {
-			capacity = runtime.NumCPU()
-		}
-		var actx context.Context
-		actx, agentCancel = context.WithCancel(context.Background())
-		coord.StartAgent(actx, *workerOf, "http://"+ln.Addr().String(), capacity, logger)
-	}
 
 	if *debugAddr != "" {
 		// pprof lives on its own listener so profiling exposure is an
@@ -256,9 +186,6 @@ func main() {
 	// Drain while the listener keeps answering: pollers see their jobs
 	// finish and late submitters get an explicit 429 instead of a
 	// connection refusal.
-	if agentCancel != nil {
-		agentCancel()
-	}
 	ctx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
 	defer cancel()
 	drainErr := srv.Drain(ctx)
@@ -271,45 +198,4 @@ func main() {
 		os.Exit(1)
 	}
 	logger.Info("drained cleanly")
-}
-
-// runCoordinator serves the sweep coordinator until SIGINT/SIGTERM.
-func runCoordinator(addr, dataDir string, heartbeat time.Duration, logger *slog.Logger, fatal func(error)) {
-	c, err := coord.New(coord.Options{
-		DataDir:          dataDir,
-		HeartbeatTimeout: heartbeat,
-		Log:              logger,
-	})
-	if err != nil {
-		fatal(err)
-	}
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		fatal(err)
-	}
-	// Same stdout contract as the daemon: scripts driving an ephemeral
-	// port parse the resolved address from this line.
-	fmt.Printf("ipcpd coordinator listening on http://%s\n", ln.Addr())
-	logger.Info("coordinating",
-		"addr", "http://"+ln.Addr().String(), "data_dir", dataDir, "heartbeat", heartbeat)
-
-	httpSrv := &http.Server{Handler: c.Handler()}
-	errc := make(chan error, 1)
-	go func() { errc <- httpSrv.Serve(ln) }()
-
-	sigc := make(chan os.Signal, 1)
-	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
-	select {
-	case err := <-errc:
-		fatal(err)
-	case sig := <-sigc:
-		logger.Info("signal received, shutting down", "signal", sig.String())
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	if err := httpSrv.Shutdown(ctx); err != nil {
-		httpSrv.Close()
-	}
-	c.Close()
-	logger.Info("coordinator stopped")
 }

@@ -22,6 +22,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"runtime"
@@ -34,28 +35,46 @@ import (
 )
 
 func main() {
-	var (
-		workloadName = flag.String("workload", "", "single-core workload name")
-		mix          = flag.String("mix", "", "comma-separated workloads, one per core")
-		l1           = flag.String("l1", "", "L1-D prefetcher (see -list)")
-		l2           = flag.String("l2", "", "L2 prefetcher")
-		llc          = flag.String("llc", "", "LLC prefetcher")
-		warmup       = flag.Uint64("warmup", 50_000, "warmup instructions per core")
-		measure      = flag.Uint64("measure", 200_000, "measured instructions per core")
-		seed         = flag.Int64("seed", 1, "workload/page-allocation seed")
-		parallel     = flag.Bool("parallel", false, "step core slices on parallel goroutines (bit-identical; multi-core mixes only, ignored with -trace/-audit)")
-		list         = flag.Bool("list", false, "list workloads and prefetchers")
+	// SIGINT/SIGTERM cancel the run cooperatively; telemetry collected up
+	// to the interruption is still flushed before exiting 130.
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	code := run(ctx, os.Args[1:])
+	stop()
+	os.Exit(code)
+}
 
-		traceOut   = flag.String("trace", "", "write the event trace to this file (.json → Chrome trace_event, else JSONL)")
-		traceBuf   = flag.Int("trace-buf", 1<<19, "event ring-buffer capacity (oldest events overwritten beyond it)")
-		interval   = flag.Int64("interval", 0, "sample interval metrics every N cycles (0 = off)")
-		metricsOut = flag.String("metrics-out", "", "write the interval timeline to this file (.csv → CSV, else JSONL; default stdout)")
-		jsonOut    = flag.Bool("json", false, "emit the full result as one JSON object on stdout")
-		auditRun   = flag.Bool("audit", false, "attach the differential audit harness (slow); exit 2 on any violation")
-		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile to this file")
-		memprofile = flag.String("memprofile", "", "write a heap profile to this file")
+// run is the whole command: it parses args, simulates under ctx and
+// returns the exit status, so every deferred flush — the CPU profile
+// above all — completes before main exits, interrupted and failing
+// runs included.
+func run(ctx context.Context, args []string) (code int) {
+	fs := flag.NewFlagSet("ipcpsim", flag.ContinueOnError)
+	var (
+		workloadName = fs.String("workload", "", "single-core workload name")
+		mix          = fs.String("mix", "", "comma-separated workloads, one per core")
+		l1           = fs.String("l1", "", "L1-D prefetcher (see -list)")
+		l2           = fs.String("l2", "", "L2 prefetcher")
+		llc          = fs.String("llc", "", "LLC prefetcher")
+		warmup       = fs.Uint64("warmup", 50_000, "warmup instructions per core")
+		measure      = fs.Uint64("measure", 200_000, "measured instructions per core")
+		seed         = fs.Int64("seed", 1, "workload/page-allocation seed")
+		list         = fs.Bool("list", false, "list workloads and prefetchers")
+
+		traceOut   = fs.String("trace", "", "write the event trace to this file (.json → Chrome trace_event, else JSONL)")
+		traceBuf   = fs.Int("trace-buf", 1<<19, "event ring-buffer capacity (oldest events overwritten beyond it)")
+		interval   = fs.Int64("interval", 0, "sample interval metrics every N cycles (0 = off)")
+		metricsOut = fs.String("metrics-out", "", "write the interval timeline to this file (.csv → CSV, else JSONL; default stdout)")
+		jsonOut    = fs.Bool("json", false, "emit the full result as one JSON object on stdout")
+		auditRun   = fs.Bool("audit", false, "attach the differential audit harness (slow); exit 2 on any violation")
+		cpuprofile = fs.String("cpuprofile", "", "write a CPU profile to this file")
+		memprofile = fs.String("memprofile", "", "write a heap profile to this file")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 
 	if *list {
 		fmt.Println("prefetchers:", strings.Join(ipcp.Prefetchers(), " "))
@@ -64,19 +83,24 @@ func main() {
 		for _, w := range ipcp.Workloads() {
 			fmt.Println("  ", w)
 		}
-		return
+		return 0
 	}
 
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
 		if err != nil {
-			fatal(err)
+			return fail(err)
 		}
-		defer f.Close()
 		if err := pprof.StartCPUProfile(f); err != nil {
-			fatal(err)
+			f.Close()
+			return fail(err)
 		}
-		defer pprof.StopCPUProfile()
+		defer func() {
+			pprof.StopCPUProfile()
+			if err := f.Close(); err != nil && code == 0 {
+				code = fail(err)
+			}
+		}()
 	}
 
 	rc := ipcp.RunConfig{
@@ -87,7 +111,6 @@ func main() {
 		Warmup:        *warmup,
 		Measure:       *measure,
 		Seed:          *seed,
-		Parallel:      *parallel,
 	}
 	if *mix != "" {
 		rc.Mix = strings.Split(*mix, ",")
@@ -102,15 +125,10 @@ func main() {
 		rc.Audit = ipcp.NewAuditChecker()
 	}
 
-	// SIGINT/SIGTERM cancel the run cooperatively; telemetry collected up
-	// to the interruption is still flushed below before exiting 130.
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-
 	res, err := ipcp.RunContext(ctx, rc)
 	interrupted := err != nil && errors.Is(err, context.Canceled)
 	if err != nil && !interrupted {
-		fatal(err)
+		return fail(err)
 	}
 	if interrupted {
 		fmt.Fprintln(os.Stderr, "ipcpsim: interrupted; flushing telemetry collected so far")
@@ -118,14 +136,14 @@ func main() {
 
 	if *traceOut != "" {
 		if err := writeTrace(rc.Tracer, *traceOut); err != nil {
-			fatal(err)
+			return fail(err)
 		}
 		fmt.Fprintf(os.Stderr, "ipcpsim: wrote %d trace events to %s (%d overwritten)\n",
 			rc.Tracer.Len(), *traceOut, rc.Tracer.Dropped())
 	}
 	if rc.Intervals != nil {
 		if err := writeIntervals(rc.Intervals, *metricsOut); err != nil {
-			fatal(err)
+			return fail(err)
 		}
 		if *metricsOut != "" {
 			fmt.Fprintf(os.Stderr, "ipcpsim: wrote %d interval samples to %s\n",
@@ -133,14 +151,14 @@ func main() {
 		}
 	}
 	if interrupted {
-		os.Exit(130)
+		return 130
 	}
 
 	if *jsonOut {
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")
 		if err := enc.Encode(res); err != nil {
-			fatal(err)
+			return fail(err)
 		}
 	} else {
 		report(res)
@@ -149,41 +167,53 @@ func main() {
 	if *auditRun {
 		if err := rc.Audit.Err(); err != nil {
 			fmt.Fprintln(os.Stderr, "ipcpsim: audit:", err)
-			os.Exit(2)
+			return 2
 		}
 		fmt.Fprintln(os.Stderr, "ipcpsim: audit clean (reference models and invariants agree)")
 	}
 
 	if *memprofile != "" {
-		f, err := os.Create(*memprofile)
+		err := createFile(*memprofile, func(w io.Writer) error {
+			runtime.GC()
+			return pprof.WriteHeapProfile(w)
+		})
 		if err != nil {
-			fatal(err)
-		}
-		defer f.Close()
-		runtime.GC()
-		if err := pprof.WriteHeapProfile(f); err != nil {
-			fatal(err)
+			return fail(err)
 		}
 	}
+	return 0
 }
 
-func fatal(err error) {
+// fail reports err and returns the generic failure status.
+func fail(err error) int {
 	fmt.Fprintln(os.Stderr, "ipcpsim:", err)
-	os.Exit(1)
+	return 1
+}
+
+// createFile creates path, hands it to write and closes it, returning
+// the first error: a failed Close can lose buffered data, so it counts.
+func createFile(path string, write func(io.Writer) error) (err error) {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	defer func() {
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
+	}()
+	return write(f)
 }
 
 // writeTrace exports the event trace; a .json extension selects the
 // Chrome trace_event format, anything else JSONL.
 func writeTrace(tr *ipcp.Tracer, path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	if strings.HasSuffix(path, ".json") {
-		return tr.WriteChromeTrace(f)
-	}
-	return tr.WriteJSONL(f)
+	return createFile(path, func(w io.Writer) error {
+		if strings.HasSuffix(path, ".json") {
+			return tr.WriteChromeTrace(w)
+		}
+		return tr.WriteJSONL(w)
+	})
 }
 
 // writeIntervals exports the interval timeline; a .csv extension
@@ -192,15 +222,12 @@ func writeIntervals(log *ipcp.IntervalLog, path string) error {
 	if path == "" {
 		return log.WriteCSV(os.Stdout)
 	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	if strings.HasSuffix(path, ".csv") {
-		return log.WriteCSV(f)
-	}
-	return log.WriteJSONL(f)
+	return createFile(path, func(w io.Writer) error {
+		if strings.HasSuffix(path, ".csv") {
+			return log.WriteCSV(w)
+		}
+		return log.WriteJSONL(w)
+	})
 }
 
 func report(res *ipcp.Result) {

@@ -37,32 +37,11 @@ type diskCache struct {
 	dir string
 	log *slog.Logger
 
-	// remote, when attached, is a shared second-level store (the
-	// coordinator's content-addressed blob service): local misses fall
-	// through to it, and every local write is pushed to it, so any
-	// worker's checkpoint or warmup spill is every worker's disk hit.
-	remote RemoteBlobs
-
 	// quarantined counts corrupt entries moved aside on load;
 	// storeFails counts checkpoint writes that failed (non-fatally).
 	// Surfaced through SessionStats and the daemon's /metrics.
 	quarantined atomic.Uint64
 	storeFails  atomic.Uint64
-	remoteHits  atomic.Uint64
-	remotePuts  atomic.Uint64
-}
-
-// RemoteBlobs is a shared second-level blob store keyed by the same
-// content addresses as the local cache. Payloads are opaque to the
-// store; any transport framing and integrity checking is the
-// implementation's business (a payload returned from GetBlob must
-// already be verified). Both methods are best-effort: GetBlob misses
-// with ok=false, PutBlob failures are swallowed (and should be counted
-// by the implementation) — a dead remote degrades sharing, never
-// correctness.
-type RemoteBlobs interface {
-	GetBlob(key string) (payload []byte, ok bool)
-	PutBlob(key string, payload []byte)
 }
 
 // newDiskCache creates (if needed) and validates the cache directory.
@@ -97,64 +76,77 @@ type entry struct {
 	Result *sim.Result `json:"result"`
 }
 
-// The frame wrapping every checkpoint payload: a one-line text header
-// carrying the payload length and CRC, then the JSON payload itself.
+// Every file in the store — checkpoint entries and warmup-snapshot
+// blobs alike — is one frame: a one-line text header carrying a magic
+// string, the payload length and its CRC, then the payload itself.
 // Headers are text (not binary) so a checkpoint file stays inspectable
 // with cat, and the file keeps its .json name for existing tooling.
 //
-//	ipcp-ckpt-v2 <payload-bytes> <crc32c-hex>\n{...payload...}
-const ckptMagic = "ipcp-ckpt-v2"
+//	ipcp-ckpt-v2 <payload-bytes> <crc32c-hex>\n{...JSON payload...}
+//	ipcp-blob-v1 <payload-bytes> <crc32c-hex>\n<...binary payload...>
+const (
+	ckptMagic = "ipcp-ckpt-v2"
+	blobMagic = "ipcp-blob-v1"
+)
 
 // crcTable is Castagnoli, hardware-accelerated on every modern CPU.
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
-// encodeEntry frames one payload for disk.
+// encodeFrame wraps payload in a frame headed by magic.
+func encodeFrame(magic string, payload []byte) []byte {
+	var buf bytes.Buffer
+	fmt.Fprintf(&buf, "%s %d %08x\n", magic, len(payload), crc32.Checksum(payload, crcTable))
+	buf.Write(payload)
+	return buf.Bytes()
+}
+
+// decodeFrame verifies a frame headed by magic and returns its
+// payload. Every damage mode (wrong or missing magic, truncated
+// header, short payload, trailing garbage, CRC mismatch) is an error,
+// never a garbage payload.
+func decodeFrame(magic string, data []byte) ([]byte, error) {
+	if !bytes.HasPrefix(data, []byte(magic+" ")) {
+		return nil, fmt.Errorf("%s: bad magic", magic)
+	}
+	nl := bytes.IndexByte(data, '\n')
+	if nl < 0 {
+		return nil, fmt.Errorf("%s: truncated header", magic)
+	}
+	var n int
+	var crc uint32
+	if _, err := fmt.Sscanf(string(data[:nl]), magic+" %d %08x", &n, &crc); err != nil {
+		return nil, fmt.Errorf("%s: malformed header: %w", magic, err)
+	}
+	payload := data[nl+1:]
+	if n < 0 || len(payload) != n {
+		return nil, fmt.Errorf("%s: payload is %d bytes, header says %d", magic, len(payload), n)
+	}
+	if got := crc32.Checksum(payload, crcTable); got != crc {
+		return nil, fmt.Errorf("%s: crc mismatch (%08x != %08x)", magic, got, crc)
+	}
+	return payload, nil
+}
+
+// encodeEntry frames one checkpoint entry for disk.
 func encodeEntry(e entry) ([]byte, error) {
 	payload, err := json.Marshal(e)
 	if err != nil {
 		return nil, err
 	}
-	var buf bytes.Buffer
-	fmt.Fprintf(&buf, "%s %d %08x\n", ckptMagic, len(payload), crc32.Checksum(payload, crcTable))
-	buf.Write(payload)
-	return buf.Bytes(), nil
+	return encodeFrame(ckptMagic, payload), nil
 }
 
-// decodeEntry verifies a frame and returns its payload. Legacy
-// (pre-frame) entries — plain JSON files — still decode, so an
-// existing cache directory survives the format upgrade. Every damage
-// mode (truncated header, short payload, trailing garbage, CRC
-// mismatch, malformed JSON) is an error, never a garbage entry.
+// decodeEntry verifies a checkpoint frame and decodes its entry. An
+// unframed file (the pre-frame v1 format included) is rejected like
+// any other damage.
 func decodeEntry(data []byte) (entry, error) {
 	var e entry
-	if !bytes.HasPrefix(data, []byte(ckptMagic+" ")) {
-		// Legacy v1 entry: no frame, the whole file is the payload.
-		if len(data) == 0 || data[0] != '{' {
-			return e, fmt.Errorf("checkpoint: bad magic")
-		}
-		if err := json.Unmarshal(data, &e); err != nil {
-			return e, fmt.Errorf("checkpoint: legacy entry: %w", err)
-		}
-		return e, nil
-	}
-	nl := bytes.IndexByte(data, '\n')
-	if nl < 0 {
-		return e, fmt.Errorf("checkpoint: truncated header")
-	}
-	var n int
-	var crc uint32
-	if _, err := fmt.Sscanf(string(data[:nl]), ckptMagic+" %d %08x", &n, &crc); err != nil {
-		return e, fmt.Errorf("checkpoint: malformed header: %w", err)
-	}
-	payload := data[nl+1:]
-	if n < 0 || len(payload) != n {
-		return e, fmt.Errorf("checkpoint: payload is %d bytes, header says %d", len(payload), n)
-	}
-	if got := crc32.Checksum(payload, crcTable); got != crc {
-		return e, fmt.Errorf("checkpoint: crc mismatch (%08x != %08x)", got, crc)
+	payload, err := decodeFrame(ckptMagic, data)
+	if err != nil {
+		return e, err
 	}
 	if err := json.Unmarshal(payload, &e); err != nil {
-		return e, fmt.Errorf("checkpoint: payload: %w", err)
+		return e, fmt.Errorf("%s: payload: %w", ckptMagic, err)
 	}
 	return e, nil
 }
@@ -171,33 +163,16 @@ func (d *diskCache) blobPath(key string) string {
 	return filepath.Join(d.dir, key[:2], key+".blob")
 }
 
-// The frame wrapping a binary blob: same one-line text header as
-// checkpoint entries, binary payload.
-//
-//	ipcp-blob-v1 <payload-bytes> <crc32c-hex>\n<...payload...>
-const blobMagic = "ipcp-blob-v1"
-
 // loadBlob returns the blob stored under key, or ok=false on any miss.
 // Like result entries, damage is quarantined and recomputed, never
 // decoded: a torn or bit-flipped snapshot must not fork simulations.
-// A local miss falls through to the remote store; a remote hit is
-// adopted locally so the next load is a disk read.
 func (d *diskCache) loadBlob(key string) ([]byte, bool) {
 	p := d.blobPath(key)
 	data, err := os.ReadFile(p)
 	if err != nil {
-		if d.remote == nil {
-			return nil, false
-		}
-		payload, ok := d.remote.GetBlob(key)
-		if !ok {
-			return nil, false
-		}
-		d.remoteHits.Add(1)
-		d.writeBlobLocal(p, payload)
-		return payload, true
+		return nil, false
 	}
-	payload, err := decodeBlob(data)
+	payload, err := decodeFrame(blobMagic, data)
 	if err != nil {
 		d.quarantine(p, err)
 		return nil, false
@@ -205,58 +180,12 @@ func (d *diskCache) loadBlob(key string) ([]byte, bool) {
 	return payload, true
 }
 
-// DecodeBlobFrame verifies an ipcp-blob-v1 frame and returns its
-// payload. Exported for the coordinator's HTTP blob store, which
-// speaks the same framing on the wire as the cache does on disk.
-func DecodeBlobFrame(data []byte) ([]byte, error) { return decodeBlob(data) }
-
-// EncodeBlobFrame wraps a payload in the ipcp-blob-v1 frame.
-func EncodeBlobFrame(payload []byte) []byte {
-	var buf bytes.Buffer
-	fmt.Fprintf(&buf, "%s %d %08x\n", blobMagic, len(payload), crc32.Checksum(payload, crcTable))
-	buf.Write(payload)
-	return buf.Bytes()
-}
-
-// decodeBlob verifies a blob frame and returns its payload.
-func decodeBlob(data []byte) ([]byte, error) {
-	if !bytes.HasPrefix(data, []byte(blobMagic+" ")) {
-		return nil, fmt.Errorf("blob: bad magic")
-	}
-	nl := bytes.IndexByte(data, '\n')
-	if nl < 0 {
-		return nil, fmt.Errorf("blob: truncated header")
-	}
-	var n int
-	var crc uint32
-	if _, err := fmt.Sscanf(string(data[:nl]), blobMagic+" %d %08x", &n, &crc); err != nil {
-		return nil, fmt.Errorf("blob: malformed header: %w", err)
-	}
-	payload := data[nl+1:]
-	if n < 0 || len(payload) != n {
-		return nil, fmt.Errorf("blob: payload is %d bytes, header says %d", len(payload), n)
-	}
-	if got := crc32.Checksum(payload, crcTable); got != crc {
-		return nil, fmt.Errorf("blob: crc mismatch (%08x != %08x)", got, crc)
-	}
-	return payload, nil
-}
-
 // storeBlob persists an opaque blob under key with the same
 // non-fatal-but-counted failure policy and tmp+fsync+rename durability
-// as result entries, then pushes it to the shared remote store (when
-// one is attached) so every peer's next load is a hit.
+// as result entries.
 func (d *diskCache) storeBlob(key string, payload []byte) {
-	d.writeBlobLocal(d.blobPath(key), payload)
-	if d.remote != nil {
-		d.remote.PutBlob(key, payload)
-		d.remotePuts.Add(1)
-	}
-}
-
-// writeBlobLocal frames and writes one blob to the local disk only.
-func (d *diskCache) writeBlobLocal(p string, payload []byte) {
-	if err := d.writeFile(p, EncodeBlobFrame(payload)); err != nil {
+	p := d.blobPath(key)
+	if err := d.writeFile(p, encodeFrame(blobMagic, payload)); err != nil {
 		d.storeFails.Add(1)
 		d.log.Warn("snapshot blob store failed", "path", p, "err", err)
 	}
@@ -285,44 +214,23 @@ func (d *diskCache) quarantine(p string, reason error) {
 
 // load returns the cached result for key, or ok=false on any miss.
 // Damage is quarantined, not trusted: a file that fails the frame
-// check moves to corrupt/ and the caller recomputes. Local misses
-// (including just-quarantined entries) fall through to the remote
-// store; a verified remote hit is adopted into the local cache.
+// check moves to corrupt/ and the caller recomputes.
 func (d *diskCache) load(key, specKey string) (*sim.Result, bool) {
 	p := d.path(key)
 	data, err := os.ReadFile(p)
-	if err == nil {
-		e, err := decodeEntry(data)
-		switch {
-		case err != nil:
-			d.quarantine(p, err)
-		case e.Spec != specKey || e.Result == nil:
-			d.quarantine(p, fmt.Errorf("checkpoint: entry is for spec %q, not %q", e.Spec, specKey))
-		default:
-			return e.Result, true
-		}
-	}
-	if d.remote == nil {
+	if err != nil {
 		return nil, false
 	}
-	// The remote payload is the full checkpoint frame, so the same
-	// header/CRC/spec-identity checks gate it; a damaged remote entry
-	// is ignored (the remote store quarantines on its own side).
-	frame, ok := d.remote.GetBlob(key)
-	if !ok {
-		return nil, false
+	e, err := decodeEntry(data)
+	switch {
+	case err != nil:
+		d.quarantine(p, err)
+	case e.Spec != specKey || e.Result == nil:
+		d.quarantine(p, fmt.Errorf("checkpoint: entry is for spec %q, not %q", e.Spec, specKey))
+	default:
+		return e.Result, true
 	}
-	e, err := decodeEntry(frame)
-	if err != nil || e.Spec != specKey || e.Result == nil {
-		d.log.Warn("remote checkpoint rejected", "key", key, "err", err)
-		return nil, false
-	}
-	d.remoteHits.Add(1)
-	if err := d.writeFile(p, frame); err != nil {
-		d.storeFails.Add(1)
-		d.log.Warn("adopting remote checkpoint failed", "path", p, "err", err)
-	}
-	return e.Result, true
+	return nil, false
 }
 
 // store checkpoints one result. Failures are deliberately non-fatal —
@@ -344,11 +252,6 @@ func (d *diskCache) store(key, specKey string, res *sim.Result) {
 	if err != nil {
 		d.storeFails.Add(1)
 		d.log.Warn("checkpoint store failed", "path", p, "err", err)
-		return
-	}
-	if d.remote != nil {
-		d.remote.PutBlob(key, data)
-		d.remotePuts.Add(1)
 	}
 }
 

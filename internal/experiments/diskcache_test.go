@@ -43,31 +43,16 @@ func TestFrameRoundTrip(t *testing.T) {
 	}
 }
 
-func TestLegacyEntryStillLoads(t *testing.T) {
-	d := testCache(t)
-	// A v1 (pre-frame) file: the payload alone, no header.
-	payload, err := json.Marshal(entry{Spec: "legacy", Result: testResult()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := d.path("aa00")
-	os.MkdirAll(filepath.Dir(p), 0o755)
-	if err := os.WriteFile(p, payload, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := d.load("aa00", "legacy"); !ok {
-		t.Fatal("legacy entry did not load")
-	}
-	if n := d.quarantined.Load(); n != 0 {
-		t.Fatalf("legacy load quarantined %d files", n)
-	}
-}
-
 // TestQuarantine is the satellite table test: every damage mode moves
 // the file to corrupt/ (counted), the slot reads as a miss, and the
 // quarantined file is never re-read — a fresh store takes the slot.
 func TestQuarantine(t *testing.T) {
 	valid, err := encodeEntry(entry{Spec: "spec-a", Result: testResult()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A v1 (pre-frame) file: the payload alone, no header and no CRC.
+	unframed, err := json.Marshal(entry{Spec: "spec-a", Result: testResult()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,6 +67,7 @@ func TestQuarantine(t *testing.T) {
 		{"bit-flip-header", faultinject.FlipBits(valid, 2, 0x01)},
 		{"not-json-payload", []byte("garbage bytes, no magic")},
 		{"legacy-corrupt", []byte("{not json")},
+		{"legacy-unframed", unframed},
 		{"wrong-spec", mustEncode(t, entry{Spec: "other", Result: testResult()})},
 		{"nil-result", mustEncode(t, entry{Spec: "spec-a"})},
 	}
@@ -224,13 +210,17 @@ func TestSessionStatsSurfaceDiskCounters(t *testing.T) {
 // FuzzCheckpointDecode throws truncations, bit flips and arbitrary
 // bytes at the frame decoder: it must never panic, and any input it
 // does accept must carry a self-consistent payload. Seeds cover the
-// framed format, the legacy format, and systematic damage to both.
+// framed format, the unframed legacy format (which must be rejected),
+// and systematic damage to the framed one.
 func FuzzCheckpointDecode(f *testing.F) {
 	valid, err := encodeEntry(entry{Spec: "fuzz-spec", Result: testResult()})
 	if err != nil {
 		f.Fatal(err)
 	}
 	legacy, _ := json.Marshal(entry{Spec: "fuzz-legacy", Result: testResult()})
+	if _, err := decodeEntry(legacy); err == nil {
+		f.Fatal("unframed legacy entry accepted")
+	}
 	f.Add(valid)
 	f.Add(legacy)
 	f.Add([]byte(ckptMagic + " 3 00000000\nxyz"))
@@ -249,7 +239,7 @@ func FuzzCheckpointDecode(f *testing.F) {
 		}
 		// Accepted: the payload must re-encode and re-decode to the
 		// same spec — i.e. decode only ever yields frames encode could
-		// have produced (modulo legacy passthrough).
+		// have produced.
 		re, encErr := encodeEntry(e)
 		if encErr != nil {
 			t.Fatalf("accepted entry does not re-encode: %v", encErr)

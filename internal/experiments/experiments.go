@@ -45,12 +45,6 @@ type Scale struct {
 	Mixes int
 	// Cores for the multi-core experiments' "small" configuration.
 	Seed int64
-	// Parallel steps multi-core systems with the parallel
-	// epoch-barrier engine (one goroutine per core slice, bit-identical
-	// results — see DESIGN.md §17). It deliberately does not appear in
-	// RunSpec.Key: the engines produce the same bytes, so memoized and
-	// checkpointed results are interchangeable across the setting.
-	Parallel bool
 }
 
 // Quick is the bench-friendly scale.
@@ -177,9 +171,7 @@ type RunSpec struct {
 
 // Key is the spec's memoization identity: two specs with equal keys
 // describe the same simulation. The serve layer uses it to coalesce
-// identical submissions onto one job. Scale.Parallel is intentionally
-// not part of the identity — the parallel engine is bit-identical to
-// the sequential one, so either engine's result satisfies the key.
+// identical submissions onto one job.
 func (r RunSpec) Key() string {
 	return fmt.Sprintf("%v|%d|%s|%s|%s|%s|%s|%.1f|%d|%d|%d|%d|%d|%d",
 		r.Workloads, r.Cores, r.L1D, r.L2, r.LLC, r.ConfigKey,
@@ -253,11 +245,6 @@ type SessionStats struct {
 	// that failed to unwind within the abandon grace (simulations
 	// wedged beyond cooperative cancellation).
 	Abandoned int
-	// RemoteBlobHits counts local cache misses satisfied from the
-	// shared remote blob store (checkpoints and warmup spills alike);
-	// RemoteBlobPuts counts local writes pushed to it.
-	RemoteBlobHits int
-	RemoteBlobPuts int
 
 	// Shared-warmup (RunShared/RunSweep) dispositions.
 	//
@@ -360,20 +347,6 @@ func (s *Session) SetCacheDir(dir string) error {
 	return nil
 }
 
-// SetRemoteBlobs attaches a shared second-level blob store (typically
-// the coordinator's /v1/blobs service) behind the local disk cache:
-// local misses — result checkpoints and warmup-snapshot spills alike —
-// fall through to it, and every local write is pushed to it. Requires
-// a cache directory (the local tier is where verified remote payloads
-// are adopted); call after SetCacheDir.
-func (s *Session) SetRemoteBlobs(r RemoteBlobs) error {
-	if s.disk == nil {
-		return errors.New("experiments: SetRemoteBlobs requires SetCacheDir first")
-	}
-	s.disk.remote = r
-	return nil
-}
-
 // Faults returns the degraded runs recorded so far (rendered as n/a
 // cells in tables).
 func (s *Session) Faults() []RunFault {
@@ -414,8 +387,6 @@ func (s *Session) Stats() SessionStats {
 	if s.disk != nil {
 		st.StoreFailures = int(s.disk.storeFails.Load())
 		st.Quarantined = int(s.disk.quarantined.Load())
-		st.RemoteBlobHits = int(s.disk.remoteHits.Load())
-		st.RemoteBlobPuts = int(s.disk.remotePuts.Load())
 	}
 	return st
 }
@@ -713,7 +684,6 @@ func (s *Session) specConfig(spec RunSpec) sim.Config {
 	cfg.L2Prefetcher = sim.PrefetcherSpec{Name: spec.L2}
 	cfg.LLCPrefetcher = sim.PrefetcherSpec{Name: spec.LLC}
 	cfg.Seed = s.specSeed(spec)
-	cfg.ParallelCores = s.Scale.Parallel
 	return cfg
 }
 

@@ -46,31 +46,24 @@ type snapEntry struct {
 	err  error
 }
 
-// WarmupKey is a spec's warmup identity under scale: every field that
-// shapes post-warmup architectural state under CacheWarmOnly
-// (workloads, core count, system knobs, seed, warmup length) and none
-// of the prefetcher fields, which attach only at the measure boundary.
-// Two specs with equal warmup keys share one warmup. The coordinator
-// uses it to shard sweep grids so each warmup-identity group lands on
-// exactly one worker (where its snapshot is forked locally).
-func WarmupKey(scale Scale, spec RunSpec) string {
+// warmupKey is a spec's warmup identity under the session's scale:
+// every field that shapes post-warmup architectural state under
+// CacheWarmOnly (workloads, core count, system knobs, seed, warmup
+// length) and none of the prefetcher fields, which attach only at the
+// measure boundary. Two specs with equal warmup keys share one warmup.
+func (s *Session) warmupKey(spec RunSpec) string {
 	cores := spec.Cores
 	if cores == 0 {
 		cores = len(spec.Workloads)
 	}
 	seed := spec.Seed
 	if seed == 0 {
-		seed = scale.Seed
+		seed = s.Scale.Seed
 	}
 	return fmt.Sprintf("%v|%d|%s|%.1f|%d|%d|%d|%d|%d|%d|%d",
 		spec.Workloads, cores, spec.LLCRepl, spec.DRAMGBps,
 		spec.L1PQ, spec.L1MSHR, spec.L1DWays, spec.L2Sets,
-		spec.LLCSetsPerCore, seed, scale.Warmup)
-}
-
-// warmupKey is WarmupKey under the session's own scale.
-func (s *Session) warmupKey(spec RunSpec) string {
-	return WarmupKey(s.Scale, spec)
+		spec.LLCSetsPerCore, seed, s.Scale.Warmup)
 }
 
 // snapDiskKey is the content address of a warmup snapshot's disk spill.

@@ -105,18 +105,3 @@ func TestRetryAfterDeterministicUnderSeed(t *testing.T) {
 		t.Errorf("concurrent draws %v != serial draws %v", cg, ca)
 	}
 }
-
-// TestRemoteBlobsRequiresCacheDir pins the option contract: a remote
-// blob store is a second level behind the disk cache, never a
-// replacement for it.
-func TestRemoteBlobsRequiresCacheDir(t *testing.T) {
-	_, err := New(Options{Scale: tiny, RemoteBlobs: nopBlobs{}})
-	if err == nil {
-		t.Fatal("New accepted RemoteBlobs without CacheDir")
-	}
-}
-
-type nopBlobs struct{}
-
-func (nopBlobs) GetBlob(string) ([]byte, bool) { return nil, false }
-func (nopBlobs) PutBlob(string, []byte)        {}

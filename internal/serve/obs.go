@@ -218,11 +218,6 @@ func (s *Server) writePrometheus(w io.Writer) {
 	telemetry.WritePrometheusValue(w, "ipcpd_forked_runs_total", "counter",
 		"Measure phases forked from a warmup snapshot.", float64(m.Session.ForkedRuns))
 
-	telemetry.WritePrometheusHeader(w, "ipcpd_remote_blob_total", "counter",
-		"Shared blob-store traffic: local misses served remotely and local writes pushed.")
-	fmt.Fprintf(w, "ipcpd_remote_blob_total{op=\"hit\"} %d\n", m.Session.RemoteBlobHits)
-	fmt.Fprintf(w, "ipcpd_remote_blob_total{op=\"put\"} %d\n", m.Session.RemoteBlobPuts)
-
 	telemetry.WritePrometheusValue(w, "ipcpd_checkpoints_quarantined", "counter",
 		"Corrupt checkpoint files detected on load and moved to the corrupt/ subdirectory.",
 		float64(m.Session.Quarantined))

@@ -76,12 +76,6 @@ type Options struct {
 	// snapshot. Results use the cache-warm-only methodology (see
 	// DESIGN.md §15) and are cached separately from classic runs.
 	SharedWarmup bool
-	// RemoteBlobs, when set, attaches a shared second-level blob store
-	// (the coordinator's /v1/blobs service) behind the disk cache:
-	// local checkpoint/snapshot misses fall through to it and local
-	// writes are pushed to it, so any worker's result is every
-	// worker's disk hit. Requires CacheDir.
-	RemoteBlobs experiments.RemoteBlobs
 	// JournalDir, when set, write-ahead journals every job's
 	// submit/start/finish to CRC-framed, fsynced segment files. On
 	// startup the journal is replayed: finished jobs are re-served
@@ -137,7 +131,7 @@ type Server struct {
 	coalesced telemetry.Counter
 	completed telemetry.Counter
 	failed    telemetry.Counter
-	stalledC  telemetry.Counter // watchdog-reaped jobs
+	stalledC  telemetry.Counter    // watchdog-reaped jobs
 	queueWait *telemetry.Histogram // admission → worker pickup
 	execution *telemetry.Histogram // worker pickup → finish
 	latency   *telemetry.Histogram // admission → finish (end to end)
@@ -164,16 +158,6 @@ func New(opts Options) (*Server, error) {
 	session := experiments.NewSessionContext(ctx, opts.Scale)
 	if opts.CacheDir != "" {
 		if err := session.SetCacheDir(opts.CacheDir); err != nil {
-			cancel()
-			return nil, err
-		}
-	}
-	if opts.RemoteBlobs != nil {
-		if opts.CacheDir == "" {
-			cancel()
-			return nil, fmt.Errorf("serve: RemoteBlobs requires CacheDir")
-		}
-		if err := session.SetRemoteBlobs(opts.RemoteBlobs); err != nil {
 			cancel()
 			return nil, err
 		}
@@ -1114,12 +1098,6 @@ type MetricsSnapshot struct {
 		SnapshotBytes    int64 `json:"snapshot_bytes"`
 		WarmupsCoalesced int   `json:"warmups_coalesced"`
 		ForkedRuns       int   `json:"forked_runs"`
-
-		// Remote blob traffic (all zero unless the daemon runs as a
-		// -worker attached to a coordinator blob store): local misses
-		// satisfied by the shared store and local writes pushed to it.
-		RemoteBlobHits int `json:"remote_blob_hits"`
-		RemoteBlobPuts int `json:"remote_blob_puts"`
 	} `json:"session"`
 
 	// Journal counters: the WAL's health this process life. AppendErrors
@@ -1169,8 +1147,6 @@ func (s *Server) Metrics() MetricsSnapshot {
 	m.Session.SnapshotBytes = st.SnapshotBytes
 	m.Session.WarmupsCoalesced = st.WarmupsCoalesced
 	m.Session.ForkedRuns = st.ForkedRuns
-	m.Session.RemoteBlobHits = st.RemoteBlobHits
-	m.Session.RemoteBlobPuts = st.RemoteBlobPuts
 	if s.journal != nil {
 		m.Journal.Enabled = true
 		m.Journal.ReplayedJobs = s.journal.replayed.Load()

@@ -235,9 +235,8 @@ func Build(cfg Config, streams []trace.Stream) (*System, error) {
 		s.l2s = append(s.l2s, l2)
 	}
 
-	// One request free list per system (sequential stepping is
-	// single-threaded within a system; the parallel engine swaps in
-	// per-slice pools for the duration of its phase loops).
+	// One request free list per system (stepping is single-threaded
+	// within a system).
 	pool := memsys.NewRequestPool()
 	s.pool = pool
 	s.mem.SetRequestPool(pool)
@@ -309,7 +308,7 @@ func (s *System) Cores() int { return s.cfg.Cores }
 // RequestPool exposes the system-wide request free list (audit/testing).
 func (s *System) RequestPool() *memsys.RequestPool { return s.pool }
 
-// Cycle reports the current simulated cycle.
+// CurrentCycle reports the current simulated cycle.
 func (s *System) CurrentCycle() int64 { return s.cycle }
 
 // SetTracer attaches an event tracer to every cache and every
@@ -728,25 +727,18 @@ func (s *System) minRetired() uint64 {
 // instructions, without resetting statistics or building a Result. It
 // is the benchmark hook for measuring steady-state throughput: after a
 // warmup Run or a prior Advance, repeated calls exercise the inner loop
-// with all setup allocation already behind them.
+// with all setup allocation already behind them. Its cycle bound is
+// Config.MaxCycles, or the default the run paths derive from n.
 func (s *System) Advance(n uint64) error {
-	minRetired := uint64(math.MaxUint64)
-	for _, c := range s.cores {
-		if r := c.Retired(); r < minRetired {
-			minRetired = r
-		}
-	}
-	target := minRetired + n
-	deadline := s.cycle + int64(n)*500 + 1_000_000
-	exec := s.newExecutor()
-	defer exec.close()
+	target := s.minRetired() + n
+	ctl := s.newLoopCtl(n)
 	for !s.allRetired(target) {
-		if s.cycle >= deadline {
-			return fmt.Errorf("sim: Advance(%d) exceeded %d cycles", n, deadline-s.cycle)
+		if s.cycle >= ctl.deadline {
+			return fmt.Errorf("sim: Advance(%d) exceeded %d cycles", n, ctl.maxCycles)
 		}
-		exec.step()
+		s.step()
 		if !s.allRetired(target) {
-			s.fastForward(deadline)
+			s.fastForward(ctl.deadline)
 		}
 	}
 	return nil

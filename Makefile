@@ -3,8 +3,9 @@ GO ?= go
 # Benchmarks tracked in BENCH_throughput.json: the simulator hot-loop
 # throughput benches, two representative figure benches, the sweep
 # pair whose ratio is the shared-warmup amortization factor, and the
-# 8-core multi-core throughput bench.
-TRACKED_BENCH = SimulatorThroughput|Fig7$$|Fig8$$|SweepColdWarmup$$|SweepSharedWarmup$$|MultiCoreSeqThroughput$$
+# 8-core pair whose ratio is what wake-driven clocking saves over the
+# dense reference scheduler.
+TRACKED_BENCH = SimulatorThroughput|Fig7$$|Fig8$$|SweepColdWarmup$$|SweepSharedWarmup$$|MultiCoreSeqThroughput$$|MultiCoreDenseThroughput$$
 BENCH_FILE   = BENCH_throughput.json
 
 .PHONY: check build fmt vet test determinism audit bench benchsmoke benchdiff benchgate fuzz serve-smoke obs-smoke chaos-smoke
@@ -32,7 +33,7 @@ vet:
 test:
 	$(GO) test -race ./...
 
-# Golden equivalence: fast-forwarded scheduler vs cycle-by-cycle
+# Golden equivalence: wake-driven scheduler vs the dense every-cycle
 # reference, run-to-run repeatability, and forked vs cold runs
 # (already part of `test`; kept as its own gate so a perf change can
 # run just this, fast).
@@ -41,17 +42,18 @@ determinism:
 
 # Differential audit: every bundled workload through the fully audited
 # system (shadow caches + paper-faithful IPCP oracles in lockstep),
-# fast-forward on and off, diffed; plus the fork-vs-cold differential
+# wake-driven and dense scheduling, diffed; plus the fork-vs-cold differential
 # that holds every warmup-forked run to byte-identity with a cold run.
 # No -race: the harness is already several times slower than the plain
 # simulation, and `test` covers the subset under -race.
 audit:
 	AUDIT_FULL=1 $(GO) test ./internal/audit -run 'TestDifferentialSuite|TestDeepThrottleRun|TestForkDifferentialSuite' -count=1
 
-# Timed run of the tracked benchmarks, appended to $(BENCH_FILE).
+# Timed run of the tracked benchmarks, appended to $(BENCH_FILE) with
+# NOTE as every entry's note: make bench NOTE='what was measured'.
 bench:
 	$(GO) test -run '^$$' -bench '$(TRACKED_BENCH)' -benchmem -benchtime=2s -count=3 . \
-		| tee /dev/stderr | $(GO) run ./cmd/benchrecord -record $(BENCH_FILE)
+		| tee /dev/stderr | $(GO) run ./cmd/benchrecord -record $(BENCH_FILE) -note "$(NOTE)"
 
 # Same run, compared against the last recorded entries instead of
 # recorded; fails on >10% instr/s regression.
@@ -59,12 +61,14 @@ benchdiff:
 	$(GO) test -run '^$$' -bench '$(TRACKED_BENCH)' -benchmem -benchtime=2s -count=3 . \
 		| $(GO) run ./cmd/benchrecord -diff $(BENCH_FILE)
 
-# Perf gate for `make check`. Two checks, calibrated for a shared
-# host whose absolute speed drifts tens of percent between runs:
-#  1. ratio gate — SweepSharedWarmup must deliver >=2x SweepColdWarmup
-#     instr/s *within the same run*; host drift is common-mode there,
-#     so the amortization factor is stable even when absolutes are not
-#     (measured 3.0-3.5x, so 2x leaves real margin);
+# Perf gate for `make check`. Two kinds of check, calibrated for a
+# shared host whose absolute speed drifts tens of percent between runs:
+#  1. ratio gates — instr/s ratios *within the same run*, where host
+#     drift is common-mode, so they hold even when absolutes do not:
+#     SweepSharedWarmup >= 2x SweepColdWarmup (the amortization factor,
+#     measured 3.0-3.5x), and MultiCoreSeqThroughput >= 1.3x
+#     MultiCoreDenseThroughput (wake-driven clocking vs the dense
+#     reference on the 8-core mix, measured 1.5-1.6x);
 #  2. absolute gate — >50% instr/s drop against the recorded history
 #     fails; that catches structural collapses (a disabled fast path, a
 #     sweep gone cold) that no plausible host drift explains.
@@ -72,7 +76,8 @@ benchdiff:
 benchgate:
 	$(GO) test -run '^$$' -bench '$(TRACKED_BENCH)' -benchmem -benchtime=2s -count=3 . \
 		| $(GO) run ./cmd/benchrecord -diff $(BENCH_FILE) -tolerance 0.5 \
-		  -gate-fast BenchmarkSweepSharedWarmup -gate-slow BenchmarkSweepColdWarmup -gate-min 2.0
+		  -gate BenchmarkSweepSharedWarmup/BenchmarkSweepColdWarmup=2.0 \
+		  -gate BenchmarkMultiCoreSeqThroughput/BenchmarkMultiCoreDenseThroughput=1.3
 
 # Smoke-run every benchmark once (no timing significance).
 benchsmoke:

@@ -291,11 +291,20 @@ var benchMix8 = []string{
 // the 8-core mix, warmed outside the timer, advanced by a fixed
 // per-core instruction count per iteration. It reports *aggregate*
 // instr/s (instructions summed across all cores).
-func BenchmarkMultiCoreSeqThroughput(b *testing.B) {
+func BenchmarkMultiCoreSeqThroughput(b *testing.B) { benchMultiCore(b, false) }
+
+// BenchmarkMultiCoreDenseThroughput is the same loop under the dense
+// reference scheduler (every component clocked on every cycle). The
+// ratio of the two is what wake-driven clocking saves on a busy mix,
+// and `make benchgate` holds it within one run.
+func BenchmarkMultiCoreDenseThroughput(b *testing.B) { benchMultiCore(b, true) }
+
+func benchMultiCore(b *testing.B, dense bool) {
 	const instrPerCorePerOp = 5_000
 	cfg := sim.PaperConfig(len(benchMix8))
 	cfg.L1DPrefetcher = sim.PrefetcherSpec{Name: "ipcp"}
 	cfg.L2Prefetcher = sim.PrefetcherSpec{Name: "ipcp"}
+	cfg.DisableFastForward = dense
 	streams := make([]trace.Stream, len(benchMix8))
 	for i, name := range benchMix8 {
 		w, err := workload.Named(name)

@@ -9,7 +9,11 @@
 // -count runs of the same benchmark are averaged first). -diff compares
 // the fresh run against the most recent recorded entry for each
 // benchmark, benchstat-style, and exits non-zero when instr/s regresses
-// by more than the -tolerance fraction.
+// by more than the -tolerance fraction. Each -gate Fast/Slow=min
+// (repeatable) also requires Fast's instr/s to be at least min times
+// Slow's within the same run:
+//
+//	... | benchrecord -diff BENCH_throughput.json -gate BenchmarkA/BenchmarkB=2.0
 package main
 
 import (
@@ -45,10 +49,9 @@ func main() {
 		diff      = flag.String("diff", "", "compare parsed results against the latest entries in this JSON history file")
 		note      = flag.String("note", "", "free-form note stored with -record entries")
 		tolerance = flag.Float64("tolerance", 0.10, "-diff: fail when instr/s drops by more than this fraction")
-		gateFast  = flag.String("gate-fast", "", "-diff: benchmark whose instr/s must exceed -gate-slow's by -gate-min (within-run ratio, immune to host drift)")
-		gateSlow  = flag.String("gate-slow", "", "-diff: the ratio gate's denominator benchmark")
-		gateMin   = flag.Float64("gate-min", 2.0, "-diff: minimum instr/s ratio of -gate-fast over -gate-slow")
+		gates     gateList
 	)
+	flag.Var(&gates, "gate", "-diff: `Fast/Slow=min` ratio gate, repeatable: Fast's instr/s must be at least min times Slow's in the same run (immune to host drift)")
 	flag.Parse()
 	if (*record == "") == (*diff == "") {
 		fmt.Fprintln(os.Stderr, "benchrecord: exactly one of -record or -diff is required")
@@ -73,12 +76,56 @@ func main() {
 		return
 	}
 	ok := doDiff(*diff, fresh, *tolerance)
-	if *gateFast != "" {
-		ok = gateRatio(os.Stdout, fresh, *gateFast, *gateSlow, *gateMin) && ok
+	for _, g := range gates {
+		ok = gateRatio(os.Stdout, fresh, g.fast, g.slow, g.min) && ok
 	}
 	if !ok {
 		os.Exit(1)
 	}
+}
+
+// gate is one -gate Fast/Slow=min ratio floor.
+type gate struct {
+	fast, slow string
+	min        float64
+}
+
+// gateList is the repeatable -gate flag.
+type gateList []gate
+
+func (l *gateList) String() string {
+	parts := make([]string, len(*l))
+	for i, g := range *l {
+		parts[i] = fmt.Sprintf("%s/%s=%g", g.fast, g.slow, g.min)
+	}
+	return strings.Join(parts, ",")
+}
+
+// Set parses one Fast/Slow=min gate. Benchmark names are top-level
+// (no '/'), as printed by go test without the -GOMAXPROCS suffix.
+func (l *gateList) Set(v string) error {
+	g, err := parseGate(v)
+	if err != nil {
+		return err
+	}
+	*l = append(*l, g)
+	return nil
+}
+
+func parseGate(v string) (gate, error) {
+	pair, minStr, ok := strings.Cut(v, "=")
+	if !ok {
+		return gate{}, fmt.Errorf("gate %q: want Fast/Slow=min", v)
+	}
+	fast, slow, ok := strings.Cut(pair, "/")
+	if !ok || fast == "" || slow == "" || strings.Contains(slow, "/") {
+		return gate{}, fmt.Errorf("gate %q: want exactly two benchmark names, Fast/Slow", v)
+	}
+	min, err := strconv.ParseFloat(minStr, 64)
+	if err != nil || !(min > 0) {
+		return gate{}, fmt.Errorf("gate %q: floor must be a positive number", v)
+	}
+	return gate{fast: fast, slow: slow, min: min}, nil
 }
 
 // gateRatio checks a within-run instr/s ratio between two benchmarks

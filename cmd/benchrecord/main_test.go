@@ -2,7 +2,10 @@ package main
 
 import (
 	"bytes"
+	"flag"
+	"io"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -114,6 +117,51 @@ func TestGateRatio(t *testing.T) {
 	out.Reset()
 	if gateRatio(&out, fresh, "BenchmarkFast", "BenchmarkMissing", 2.0) {
 		t.Fatal("missing denominator must fail, not pass silently")
+	}
+}
+
+func TestGateFlagRepeatable(t *testing.T) {
+	var gates gateList
+	fs := flag.NewFlagSet("benchrecord", flag.ContinueOnError)
+	fs.SetOutput(io.Discard)
+	fs.Var(&gates, "gate", "")
+	err := fs.Parse([]string{
+		"-gate", "BenchmarkSweepSharedWarmup/BenchmarkSweepColdWarmup=2.0",
+		"-gate", "BenchmarkMultiCoreSeqThroughput/BenchmarkMultiCoreDenseThroughput=1.3",
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := gateList{
+		{fast: "BenchmarkSweepSharedWarmup", slow: "BenchmarkSweepColdWarmup", min: 2.0},
+		{fast: "BenchmarkMultiCoreSeqThroughput", slow: "BenchmarkMultiCoreDenseThroughput", min: 1.3},
+	}
+	if !reflect.DeepEqual(gates, want) {
+		t.Fatalf("parsed %+v, want %+v", gates, want)
+	}
+	if got := gates.String(); got != "BenchmarkSweepSharedWarmup/BenchmarkSweepColdWarmup=2,"+
+		"BenchmarkMultiCoreSeqThroughput/BenchmarkMultiCoreDenseThroughput=1.3" {
+		t.Errorf("String() = %q", got)
+	}
+}
+
+func TestGateFlagRejectsMalformed(t *testing.T) {
+	for _, v := range []string{
+		"",
+		"BenchmarkA/BenchmarkB",       // no floor
+		"BenchmarkA=2",                // no denominator
+		"/BenchmarkB=2",               // empty numerator
+		"BenchmarkA/=2",               // empty denominator
+		"BenchmarkA/BenchmarkB/sub=2", // sub-benchmark names are ambiguous
+		"BenchmarkA/BenchmarkB=x",     // not a number
+		"BenchmarkA/BenchmarkB=0",     // a zero floor gates nothing
+		"BenchmarkA/BenchmarkB=-1.5",  // negative floor
+		"BenchmarkA/BenchmarkB=NaN",   // NaN passes no comparison
+	} {
+		var gates gateList
+		if err := gates.Set(v); err == nil {
+			t.Errorf("Set(%q) accepted %+v", v, gates)
+		}
 	}
 }
 

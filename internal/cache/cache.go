@@ -3,12 +3,12 @@
 // MSHRs with request merging, a non-inclusive fill path, per-line
 // prefetch class tags, and the prefetcher hook points.
 //
-// The model is cycle-stepped: the simulation driver clocks every cache
-// once per cycle, and each cache services a bounded number of lookups
-// per cycle (its "ports"), forwards misses downward through memsys.Sink
-// and receives data back through memsys.Receiver. NextEvent lets the
-// driver skip cycles where the cache provably has nothing to do (see
-// the quiescence contract in DESIGN.md).
+// The model is cycle-stepped: each cache services a bounded number of
+// lookups per clocked cycle (its "ports"), forwards misses downward
+// through memsys.Sink and receives data back through memsys.Receiver.
+// The scheduler clocks a cache only when it is due: at the NextEvent it
+// reported when last clocked, or when an input wakes it (see the
+// scheduler contract in DESIGN.md).
 package cache
 
 import (
@@ -150,6 +150,10 @@ type Cache struct {
 	// pool recycles Requests across the whole system (nil: allocate).
 	pool *memsys.RequestPool
 
+	// wake is the cache's scheduler handle, called on every accepted
+	// input; feeder is woken when a slot opens in a full read queue.
+	wake, feeder memsys.Wake
+
 	// installCb adapts installFill to the fill ring without a per-call
 	// closure allocation (c.now carries the cycle).
 	installCb func(*memsys.Request) bool
@@ -227,6 +231,14 @@ func (c *Cache) SetLower(s memsys.Sink) { c.lower = s }
 // plain allocation, the default for standalone caches).
 func (c *Cache) SetRequestPool(p *memsys.RequestPool) { c.pool = p }
 
+// SetWake attaches the cache's scheduler handle, and the handle of the
+// producer that waits on a full read queue without a retry of its own
+// (the core, at the L1-D); the zero Wake for feeder means none.
+func (c *Cache) SetWake(self, feeder memsys.Wake) {
+	c.wake = self
+	c.feeder = feeder
+}
+
 // SetPrefetcher attaches a prefetcher (nil detaches).
 func (c *Cache) SetPrefetcher(p prefetch.Prefetcher) {
 	if p == nil {
@@ -266,19 +278,29 @@ func (c *Cache) ResetStats() {
 // --- memsys.Sink ------------------------------------------------------
 
 // AddRead enqueues a demand read from above.
-func (c *Cache) AddRead(r *memsys.Request) bool { return c.rq.push(r) }
+func (c *Cache) AddRead(r *memsys.Request) bool { return c.accept(c.rq, r) }
 
 // AddWrite enqueues a writeback from above.
-func (c *Cache) AddWrite(r *memsys.Request) bool { return c.wq.push(r) }
+func (c *Cache) AddWrite(r *memsys.Request) bool { return c.accept(c.wq, r) }
 
 // AddPrefetch enqueues a prefetch from the level above.
-func (c *Cache) AddPrefetch(r *memsys.Request) bool { return c.pq.push(r) }
+func (c *Cache) AddPrefetch(r *memsys.Request) bool { return c.accept(c.pq, r) }
+
+// accept pushes r onto q, waking the cache when it is taken.
+func (c *Cache) accept(q *queue, r *memsys.Request) bool {
+	if !q.push(r) {
+		return false
+	}
+	c.wake.Input()
+	return true
+}
 
 // --- memsys.Receiver ----------------------------------------------------
 
 // ReturnData receives a completed forwarded request from below.
 func (c *Cache) ReturnData(ready int64, req *memsys.Request) {
 	c.fills.push(ready, req)
+	c.wake.Input()
 }
 
 // --- clocking -----------------------------------------------------------
@@ -323,6 +345,9 @@ func (c *Cache) Cycle(now int64) {
 				c.rqBlocked = true
 				break // head blocked (MSHR full); retry next cycle
 			}
+			if c.rq.full() {
+				c.feeder.Input() // a slot opens for a producer that bounced
+			}
 			c.rq.pop()
 			budget--
 			continue
@@ -352,10 +377,12 @@ func (c *Cache) Cycle(now int64) {
 
 // NextEvent reports the earliest future cycle at which clocking this
 // cache could have any effect — on its own state, its statistics, or
-// another component. Between now and the returned cycle every Cycle
-// call is provably a no-op, so the driver may skip straight there.
-// prefetch.NoEvent means the cache is idle until external input
-// arrives (which only happens inside some other component's event).
+// another component — provided no input arrives first. Between now and
+// the returned cycle every Cycle call is provably a no-op, so the
+// scheduler may leave the cache asleep until then. Inputs are the four
+// entry points AddRead, AddWrite, AddPrefetch and ReturnData, and each
+// wakes the cache through its scheduler handle; prefetch.NoEvent means
+// only such an input can make it due.
 func (c *Cache) NextEvent(now int64) int64 {
 	// Queued writebacks and prefetches are retried every cycle, and
 	// their handlers touch counters (e.g. PrefetchMSHRStall), so any

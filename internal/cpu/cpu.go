@@ -165,9 +165,12 @@ type Core struct {
 
 	// pool recycles Requests (nil: allocate per request).
 	pool *memsys.RequestPool
+	// wake is the core's scheduler handle: a data return wakes it.
+	wake memsys.Wake
 	// issueBlockedOnSink records that the load-queue head bounced off a
-	// full L1-D read queue this cycle; the queue can only drain through
-	// cache activity, which pins the scheduler awake on the cache side.
+	// full L1-D read queue this cycle. NextEvent gives no bound for it:
+	// the L1-D wakes the core when it pops a slot off its full read queue
+	// (cache.SetWake's feeder), the one event that can let the load go.
 	issueBlockedOnSink bool
 
 	Stats Stats
@@ -203,6 +206,9 @@ func (c *Core) Attach(l1d, l1i memsys.Sink) {
 // SetRequestPool attaches the system-wide request free list.
 func (c *Core) SetRequestPool(p *memsys.RequestPool) { c.pool = p }
 
+// SetWake attaches the core's scheduler handle.
+func (c *Core) SetWake(w memsys.Wake) { c.wake = w }
+
 // PageTable exposes the core's address space (the L1-D prefetcher's
 // translator uses it).
 func (c *Core) PageTable() *vmem.PageTable { return c.pt }
@@ -219,8 +225,12 @@ func (c *Core) Done() bool { return c.streamEnded && c.robCount == 0 }
 
 // ReturnData implements memsys.Receiver: load data and code reads
 // coming back from the L1s. The core created these requests, so it
-// recycles them here — the caller must not touch r afterwards.
+// recycles them here — the caller must not touch r afterwards. The wake
+// comes first: it replays a sleeping core's stall counters before the
+// return changes what they depend on (dependency resolution, the fetch
+// stall).
 func (c *Core) ReturnData(ready int64, r *memsys.Request) {
+	c.wake.Input()
 	c.returnData(ready, r)
 	c.pool.Put(r)
 }
@@ -266,9 +276,10 @@ func (c *Core) Cycle(now int64) {
 // core could change architectural state. Between now and the returned
 // cycle, every Cycle call would only bump the per-cycle stall counters,
 // whose per-cycle behaviour is constant across the span — AccountSkip
-// replays them in closed form. math.MaxInt64 means the core is inert
-// until an external data return arrives (those happen only inside some
-// cache's own event, which bounds the global skip).
+// replays them in closed form. The bound assumes no input: a data
+// return wakes the core (ReturnData), and so does the L1-D when a slot
+// opens in its full read queue. math.MaxInt64 means only one of those
+// two wakes can make the core due.
 func (c *Core) NextEvent(now int64) int64 {
 	next := int64(math.MaxInt64)
 
@@ -287,9 +298,9 @@ func (c *Core) NextEvent(now int64) int64 {
 	}
 
 	// Load issue: the queue head either waits for translation
-	// (readyAt), for its address dependency (the dep entry's doneAt),
-	// or for an L1-D queue slot (cache activity keeps the system
-	// clocked until the queue drains).
+	// (readyAt), for its address dependency (the dep entry's doneAt, or
+	// its data return, which wakes the core), or for an L1-D read-queue
+	// slot (the L1-D wakes the core when it pops one off a full queue).
 	if c.loadQ.size > 0 {
 		pl := c.loadQ.front()
 		if pl.depSeq != 0 && !c.depResolved(now, pl.depSeq) {

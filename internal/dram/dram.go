@@ -113,11 +113,15 @@ type Controller struct {
 	chanMask uint64
 	bankMask uint64
 	colBits  uint
-	// nowApprox timestamps arrivals for the starvation cap (updated
-	// each Cycle).
+	// nowApprox timestamps arrivals for the starvation cap: the last
+	// cycle Cycle ran or AccountSkip replayed. An arrival wakes the
+	// controller first, which replays a sleeping controller up to the
+	// current cycle, so the stamp is exact under sparse clocking too.
 	nowApprox int64
 	// pool recycles writeback requests once they are scheduled.
-	pool  *memsys.RequestPool
+	pool *memsys.RequestPool
+	// wake is the controller's scheduler handle.
+	wake  memsys.Wake
 	Stats Stats
 }
 
@@ -158,6 +162,9 @@ func New(cfg Config) (*Controller, error) {
 // SetRequestPool attaches the system-wide request free list (nil keeps
 // plain allocation).
 func (c *Controller) SetRequestPool(p *memsys.RequestPool) { c.pool = p }
+
+// SetWake attaches the controller's scheduler handle.
+func (c *Controller) SetWake(w memsys.Wake) { c.wake = w }
 
 // decode maps a physical block address onto (channel, bank, row).
 // Layout from LSB: channel | column | bank | row, so consecutive
@@ -200,6 +207,7 @@ func (c *Controller) add(r *memsys.Request, write bool) bool {
 			c.Stats.WriteQueueFullRejects++
 			return false
 		}
+		c.wake.Input()
 		cn.writeQ = append(cn.writeQ, pending{req: r, born: c.nowApprox, isWrite: true})
 		return true
 	}
@@ -207,6 +215,7 @@ func (c *Controller) add(r *memsys.Request, write bool) bool {
 		c.Stats.ReadQueueFullRejects++
 		return false
 	}
+	c.wake.Input()
 	cn.readQ = append(cn.readQ, pending{req: r, born: c.nowApprox})
 	return true
 }
@@ -351,8 +360,10 @@ func (c *Controller) NextEvent(now int64) int64 {
 // AccountSkip replays the per-cycle statistics for the skipped cycles
 // [from, to). Skips only happen with every queue empty (see NextEvent),
 // where each clocked cycle would count Cycles, count BusBusyCycles
-// while a tail transfer drains, and clear the write-drain flag.
+// while a tail transfer drains, clear the write-drain flag and stamp
+// nowApprox.
 func (c *Controller) AccountSkip(from, to int64) {
+	c.nowApprox = to - 1
 	c.Stats.Cycles += uint64(to - from)
 	var maxBusFree int64
 	for i := range c.chans {

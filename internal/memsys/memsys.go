@@ -3,8 +3,9 @@
 // flows between components.
 //
 // Every component of the hierarchy (cores, caches, DRAM) exchanges
-// *Request values and is clocked by a single global cycle counter owned
-// by the simulation driver.
+// *Request values and is clocked by the system's Scheduler: one global
+// cycle counter, advanced only through cycles in which some component
+// is due.
 package memsys
 
 import "fmt"
@@ -209,11 +210,6 @@ type Sink interface {
 	AddRead(r *Request) bool
 	AddWrite(r *Request) bool
 	AddPrefetch(r *Request) bool
-}
-
-// Component is the per-cycle clocking interface.
-type Component interface {
-	Cycle(now int64)
 }
 
 // Request is one in-flight memory transaction. Requests are created by

@@ -87,11 +87,16 @@ type Config struct {
 	// instruction budget).
 	MaxCycles int64
 
-	// DisableFastForward forces the scheduler to clock every component
-	// on every cycle instead of skipping provably idle spans. The two
-	// modes produce bit-identical results (the determinism suite holds
-	// them to that); the reference mode exists for that comparison and
-	// for debugging the scheduler itself.
+	// DisableFastForward selects the dense reference scheduler: every
+	// component is clocked on every cycle. By default the scheduler is
+	// wake-driven: it clocks a component only at the NextEvent it
+	// reported when last clocked or when an input wakes it (a queue push
+	// or data return; the L1-D also wakes its core when a slot opens in
+	// its full read queue), jumps over cycles in which nothing is due,
+	// and replays the skipped per-cycle counters in closed form. The two
+	// modes produce bit-identical results (the determinism goldens hold
+	// them to that); the dense reference is the one path those goldens
+	// compare against, and the one to debug the scheduler with.
 	DisableFastForward bool
 
 	// Audit, when non-nil, is attached to the freshly built system and

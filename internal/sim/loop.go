@@ -51,12 +51,7 @@ func (s *System) warmupLoop(ctx context.Context, warmup uint64, ctl *loopCtl, re
 			}
 			report()
 		}
-		s.step()
-		// The retirement check must see the exact post-step cycle, so
-		// fast-forward only once the loop is known to continue.
-		if !s.allRetired(warmup) {
-			s.fastForward(ctl.deadline)
-		}
+		s.step(ctl.deadline)
 	}
 	return nil
 }
@@ -86,13 +81,11 @@ func (s *System) measureLoop(ctx context.Context, measure uint64, ctl *loopCtl, 
 			}
 			report()
 		}
-		s.step()
+		s.step(ctl.deadline)
+		// A core can only retire in a cycle that clocked it, and step
+		// jumps before clocking, never after: s.cycle is one past the
+		// clocked cycle, the finish cycle the dense reference records.
 		done += scanFinished(s.cores, s.cycle, measure, finish, finished)
-		// Fast-forward only after the finish scan: a finishing core's
-		// recorded cycle must be the stepped cycle, not a jump target.
-		if done < s.cfg.Cores {
-			s.fastForward(ctl.deadline)
-		}
 	}
 
 	// Close the last (partial) interval so the timeline's deltas sum
@@ -125,6 +118,7 @@ func scanFinished(cores []*cpu.Core, cycle int64, measure uint64, finish []int64
 // buildResult assembles the Result of a measured phase that started at
 // start and finished per-core at finish.
 func (s *System) buildResult(measure uint64, start int64, finish []int64) *Result {
+	s.sched.Sync()
 	res := &Result{
 		Cores:            s.cfg.Cores,
 		Instructions:     measure,

@@ -30,6 +30,8 @@ type System struct {
 	llc   *cache.Cache
 	mem   *dram.Controller
 
+	// sched clocks the components; cycle mirrors its current cycle.
+	sched *memsys.Scheduler
 	cycle int64
 
 	// pool is the system-wide request free list Build wired into every
@@ -247,10 +249,34 @@ func Build(cfg Config, streams []trace.Stream) (*System, error) {
 		s.l1is[i].SetRequestPool(pool)
 		s.l2s[i].SetRequestPool(pool)
 	}
+	s.wireScheduler()
 	if cfg.Audit != nil {
 		cfg.Audit.Attach(s)
 	}
 	return s, nil
+}
+
+// wireScheduler registers every component with a fresh scheduler in
+// the memory-first clock order — DRAM, the LLC, then per core its L2,
+// L1-D, L1-I and the core itself — so data returned in a cycle is
+// visible above in the next, and hands each its wake handle. The L1-D
+// also wakes its core when a slot opens in its full read queue: a core
+// whose load bounced off that queue has no retry time of its own.
+func (s *System) wireScheduler() {
+	s.sched = memsys.NewScheduler(s.cfg.DisableFastForward)
+	s.mem.SetWake(s.sched.Add(s.mem))
+	s.llc.SetWake(s.sched.Add(s.llc), memsys.Wake{})
+	for i := range s.cores {
+		l2 := s.sched.Add(s.l2s[i])
+		l1d := s.sched.Add(s.l1ds[i])
+		l1i := s.sched.Add(s.l1is[i])
+		core := s.sched.Add(s.cores[i])
+		s.l2s[i].SetWake(l2, memsys.Wake{})
+		s.l1ds[i].SetWake(l1d, core)
+		s.l1is[i].SetWake(l1i, memsys.Wake{})
+		s.cores[i].SetWake(core)
+	}
+	s.sched.Reset(s.cycle)
 }
 
 // guardPf wraps a prefetcher in the fail-safe Guard unless guarding is
@@ -382,6 +408,7 @@ func (s *System) flushInterval() {
 	if s.cycle == s.lastSample {
 		return
 	}
+	s.sched.Sync()
 	cur := s.snapshotCum()
 	prev := s.prevCum
 	cycles := s.cycle - s.lastSample
@@ -459,101 +486,33 @@ func applyClassState(sm *telemetry.Sample, snaps []telemetry.Snapshot) {
 	}
 }
 
-// step advances the whole system one cycle, memory side first so that
-// data returned this cycle is visible to the cores next cycle.
-func (s *System) step() {
-	now := s.cycle
-	s.mem.Cycle(now)
-	s.llc.Cycle(now)
-	for i := range s.cores {
-		s.l2s[i].Cycle(now)
-		s.l1ds[i].Cycle(now)
-		s.l1is[i].Cycle(now)
-		s.cores[i].Cycle(now)
-	}
-	s.cycle++
-	if s.sampling && s.cycle-s.lastSample >= s.ilog.Every {
-		s.flushInterval()
-	}
-}
-
-// fastForward advances s.cycle past cycles every component reports as
-// no-ops. Each component's NextEvent(now) names the earliest cycle > now
-// at which clocking it could change state; the global minimum bounds a
-// span of provable no-op cycles that the scheduler skips in one jump,
-// replaying the per-cycle counters (core stall accounting, DRAM
-// cycle/bus counters) in closed form via AccountSkip. Jumps are capped
-// at the run deadline and the next interval-sample boundary, so error
-// cycles and telemetry samples land on exactly the cycles the
-// cycle-by-cycle reference would produce. The skipped spans contain no
-// activity at all, so results are bit-identical with or without
-// fast-forwarding (tested by TestFastForwardMatchesReference).
-func (s *System) fastForward(deadline int64) {
-	if s.cfg.DisableFastForward {
-		return
-	}
-	now := s.cycle - 1 // the cycle step() just clocked
-	// Any component due next cycle forecloses a jump — return as soon
-	// as one says so, cheapest and most-often-active components first,
-	// so the sweep costs little on busy cycles.
-	next := int64(math.MaxInt64)
-	for i := range s.cores {
-		if t := s.cores[i].NextEvent(now); t < next {
-			if t <= s.cycle {
-				return
-			}
-			next = t
-		}
-	}
-	for i := range s.cores {
-		if t := s.l1ds[i].NextEvent(now); t < next {
-			if t <= s.cycle {
-				return
-			}
-			next = t
-		}
-		if t := s.l2s[i].NextEvent(now); t < next {
-			if t <= s.cycle {
-				return
-			}
-			next = t
-		}
-		if t := s.l1is[i].NextEvent(now); t < next {
-			if t <= s.cycle {
-				return
-			}
-			next = t
-		}
-	}
-	if t := s.llc.NextEvent(now); t < next {
-		if t <= s.cycle {
-			return
-		}
-		next = t
-	}
-	if t := s.mem.NextEvent(now); t < next {
-		if t <= s.cycle {
-			return
-		}
-		next = t
-	}
-	if next > deadline {
-		next = deadline
-	}
+// step advances the system to its next active cycle and clocks it.
+// The scheduler picks the cycle: the current one when a component is
+// due there, else the earliest due cycle — capped at the deadline and
+// the next interval-sample boundary, so error cycles and samples land
+// exactly where the dense reference puts them. Only the components due
+// at that cycle are clocked (all of them under DisableFastForward).
+// Landing on the deadline clocks nothing: the caller's loop reports the
+// overrun. The skipped cycles contain no activity, so results are
+// bit-identical to the dense reference (TestFastForwardMatchesReference).
+func (s *System) step(deadline int64) {
+	limit := deadline
 	if s.sampling {
-		if b := s.lastSample + s.ilog.Every; next > b {
-			next = b
+		if b := s.lastSample + s.ilog.Every; b < limit {
+			limit = b
 		}
 	}
-	if next <= s.cycle {
-		return
+	if next := s.sched.Advance(limit); next != s.cycle {
+		s.cycle = next
+		if s.sampling && s.cycle-s.lastSample >= s.ilog.Every {
+			s.flushInterval()
+		}
+		if s.cycle >= deadline {
+			return
+		}
 	}
-	from := s.cycle
-	for i := range s.cores {
-		s.cores[i].AccountSkip(from, next)
-	}
-	s.mem.AccountSkip(from, next)
-	s.cycle = next
+	s.sched.Clock()
+	s.cycle++
 	if s.sampling && s.cycle-s.lastSample >= s.ilog.Every {
 		s.flushInterval()
 	}
@@ -564,6 +523,7 @@ func (s *System) fastForward(deadline int64) {
 // afterwards — aggregates, trace events, interval samples — covers the
 // measured phase only.
 func (s *System) resetStats() {
+	s.sched.Sync()
 	for i := range s.cores {
 		s.cores[i].ResetStats()
 		s.l1ds[i].ResetStats()
@@ -610,8 +570,8 @@ func (s *System) Run(warmup, measure uint64) (*Result, error) {
 // context: at most once per 4096 advanced cycles — about a microsecond
 // of simulated time, and cheap enough (one predictable branch plus an
 // atomic load) to be invisible in the cycle loop's profile. A threshold
-// rather than a cycle-number mask: fast-forward jumps land on arbitrary
-// cycle numbers, and a mask test could miss every one of them.
+// rather than a cycle-number mask: the scheduler's jumps land on
+// arbitrary cycle numbers, and a mask test could miss every one of them.
 const cancelCheckInterval = 4096
 
 // RunContext is Run with cooperative cancellation: the cycle loop
@@ -658,8 +618,8 @@ func (s *System) RunContext(ctx context.Context, warmup, measure uint64) (res *R
 	}()
 
 	// Warmup and measurement share one cycle budget and one
-	// cancellation cadence (a fast-forward-heavy warmup must not eat
-	// the measure phase's error margin twice).
+	// cancellation cadence (a skip-heavy warmup must not eat the
+	// measure phase's error margin twice).
 	ctl := s.newLoopCtl(warmup + measure)
 
 	_, phaseSpan = telemetry.StartSpan(ctx, "sim.warmup")
@@ -736,10 +696,8 @@ func (s *System) Advance(n uint64) error {
 		if s.cycle >= ctl.deadline {
 			return fmt.Errorf("sim: Advance(%d) exceeded %d cycles", n, ctl.maxCycles)
 		}
-		s.step()
-		if !s.allRetired(target) {
-			s.fastForward(ctl.deadline)
-		}
+		s.step(ctl.deadline)
 	}
+	s.sched.Sync()
 	return nil
 }

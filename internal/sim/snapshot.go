@@ -73,15 +73,20 @@ const drainMaxCycles = 2_000_000
 // until quiescence, then re-opens fetch. The drained instructions stay
 // retired — both the cold path and the forked path pass through the
 // same drain point, so the measure phase starts from the same state
-// either way.
+// either way. Gating fetch changes what a sleeping core's stall
+// counters replay and when it is next due, so the counters are synced
+// before each switch and every component is woken after the reopening.
 func (s *System) drain(ctx context.Context) error {
+	s.sched.Sync()
 	for i := range s.cores {
 		s.cores[i].StopFetch()
 	}
 	defer func() {
+		s.sched.Sync()
 		for i := range s.cores {
 			s.cores[i].ResumeFetch()
 		}
+		s.sched.WakeAll()
 	}()
 	deadline := s.cycle + drainMaxCycles
 	nextCancel := s.cycle
@@ -95,7 +100,7 @@ func (s *System) drain(ctx context.Context) error {
 				return fmt.Errorf("sim: drain cancelled at cycle %d: %w", s.cycle, err)
 			}
 		}
-		s.step()
+		s.step(deadline)
 	}
 	return nil
 }
@@ -148,6 +153,7 @@ func (s *System) Snapshot() (*Snapshot, error) {
 	if !s.Quiescent() {
 		return nil, fmt.Errorf("sim: system not quiescent")
 	}
+	s.sched.Sync()
 	snap := &Snapshot{
 		Sig:   ConfigSignature(s.cfg),
 		Cycle: s.cycle,
@@ -225,6 +231,7 @@ func (s *System) RestoreSnapshot(snap *Snapshot) error {
 		return err
 	}
 	s.cycle = snap.Cycle
+	s.sched.Reset(s.cycle) // every component due at the restored cycle
 	return nil
 }
 
@@ -261,6 +268,9 @@ func (s *System) AttachPrefetchers() error {
 		s.l1is[i].SetPrefetcher(s.guardPf(l1iPf, memsys.LevelL1I, i))
 	}
 	s.pfAttached = true
+	// The new prefetchers' clocked work (epochs, delayed releases) is
+	// not in any cached due cycle yet.
+	s.sched.WakeAll()
 	if s.tracer != nil {
 		s.SetTracer(s.tracer) // re-apply to the newly attached prefetchers
 	}

@@ -253,12 +253,26 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 // request pool, the fill ring, the fixed MSHR table, and the load ring
 // in place this reports ~0 allocs/op — the hot path recycles
 // everything it touches.
-func BenchmarkSimulatorThroughputSteady(b *testing.B) {
+func BenchmarkSimulatorThroughputSteady(b *testing.B) { benchSteady(b, "lbm-94", false) }
+
+// BenchmarkMemBoundSteadySparse is the same steady-state loop on the
+// memory-bound omnetpp-17, whose core mostly waits on DRAM: the
+// wake-driven scheduler skips the cycles in which the controller can
+// start no transaction.
+func BenchmarkMemBoundSteadySparse(b *testing.B) { benchSteady(b, "omnetpp-17", false) }
+
+// BenchmarkMemBoundSteadyDense runs that loop under the dense reference
+// scheduler. The ratio of the two is what sparse clocking saves on a
+// DRAM-bound core, and `make benchgate` holds it within one run.
+func BenchmarkMemBoundSteadyDense(b *testing.B) { benchSteady(b, "omnetpp-17", true) }
+
+func benchSteady(b *testing.B, name string, dense bool) {
 	const instrPerOp = 10_000
 	cfg := sim.PaperConfig(1)
 	cfg.L1DPrefetcher = sim.PrefetcherSpec{Name: "ipcp"}
 	cfg.L2Prefetcher = sim.PrefetcherSpec{Name: "ipcp"}
-	w, err := workload.Named("lbm-94")
+	cfg.DisableFastForward = dense
+	w, err := workload.Named(name)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -36,6 +36,29 @@ PASS
 	}
 }
 
+// TestParseBenchRepeatedPasses: `make bench` concatenates several
+// -count=1 runs of go test, each with its own header and trailer, so
+// the two benchmarks of a ratio gate alternate in time. Every pass's
+// lines must be averaged per benchmark as a -count run's would be.
+func TestParseBenchRepeatedPasses(t *testing.T) {
+	pass := func(fast, slow string) string {
+		return "goos: linux\ngoarch: amd64\npkg: ipcp\ncpu: test\n" +
+			"BenchmarkFast-2   \t 10\t 1000 ns/op\t " + fast + " instr/s\n" +
+			"BenchmarkSlow-2   \t 10\t 3000 ns/op\t " + slow + " instr/s\n" +
+			"PASS\nok  \tipcp\t12.3s\n"
+	}
+	es, err := parseBench(strings.NewReader(pass("300", "100") + pass("500", "100") + pass("400", "200")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(es) != 2 || es[0].InstrPerSec != 400 || es[1].InstrPerSec != 400.0/3 {
+		t.Fatalf("repeated passes parsed as %+v", es)
+	}
+	if !gateRatio(io.Discard, es, "BenchmarkFast", "BenchmarkSlow", 2.9) {
+		t.Fatal("gate on the averaged passes failed")
+	}
+}
+
 func TestBenchName(t *testing.T) {
 	for in, want := range map[string]string{
 		"BenchmarkFoo-8":      "BenchmarkFoo",

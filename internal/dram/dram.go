@@ -88,9 +88,13 @@ type bank struct {
 	busyUntil int64
 }
 
+// pending is one queued request, with its bank and row decoded once
+// on arrival.
 type pending struct {
 	req     *memsys.Request
 	born    int64
+	row     uint64
+	bank    int
 	isWrite bool
 }
 
@@ -99,6 +103,9 @@ type channel struct {
 	readQ     []pending
 	writeQ    []pending
 	busFreeAt int64
+	// readsAt and writesAt count the queued reads and writes per bank,
+	// so NextEvent finds the banks holding work without a queue scan.
+	readsAt, writesAt []int
 	// drainWrites flips the scheduler into write-drain mode when the
 	// write queue is nearly full or there are no reads.
 	drainWrites bool
@@ -114,9 +121,11 @@ type Controller struct {
 	bankMask uint64
 	colBits  uint
 	// nowApprox timestamps arrivals for the starvation cap: the last
-	// cycle Cycle ran or AccountSkip replayed. An arrival wakes the
-	// controller first, which replays a sleeping controller up to the
-	// current cycle, so the stamp is exact under sparse clocking too.
+	// cycle the controller has accounted for, whether Cycle ran it or
+	// AccountSkip replayed it. An arrival wakes the controller first,
+	// which replays a sleeping controller, queued requests and all, up
+	// to the cycle before the one that can first see the arrival, so
+	// the stamp equals the dense reference's under sparse clocking too.
 	nowApprox int64
 	// pool recycles writeback requests once they are scheduled.
 	pool *memsys.RequestPool
@@ -151,6 +160,8 @@ func New(cfg Config) (*Controller, error) {
 	}
 	for i := range c.chans {
 		c.chans[i].banks = make([]bank, cfg.BanksPerChannel)
+		c.chans[i].readsAt = make([]int, cfg.BanksPerChannel)
+		c.chans[i].writesAt = make([]int, cfg.BanksPerChannel)
 		// Queues never exceed QueueSize; reserving it up front keeps the
 		// steady state free of append growth.
 		c.chans[i].readQ = make([]pending, 0, cfg.QueueSize)
@@ -200,7 +211,7 @@ func (c *Controller) AddPrefetch(r *memsys.Request) bool { return c.add(r, false
 func (c *Controller) AddWrite(r *memsys.Request) bool { return c.add(r, true) }
 
 func (c *Controller) add(r *memsys.Request, write bool) bool {
-	ch, _, _ := c.decode(r.Addr)
+	ch, bk, row := c.decode(r.Addr)
 	cn := &c.chans[ch]
 	if write {
 		if len(cn.writeQ) >= c.cfg.QueueSize {
@@ -208,7 +219,8 @@ func (c *Controller) add(r *memsys.Request, write bool) bool {
 			return false
 		}
 		c.wake.Input()
-		cn.writeQ = append(cn.writeQ, pending{req: r, born: c.nowApprox, isWrite: true})
+		cn.writeQ = append(cn.writeQ, pending{req: r, born: c.nowApprox, row: row, bank: bk, isWrite: true})
+		cn.writesAt[bk]++
 		return true
 	}
 	if len(cn.readQ) >= c.cfg.QueueSize {
@@ -216,7 +228,8 @@ func (c *Controller) add(r *memsys.Request, write bool) bool {
 		return false
 	}
 	c.wake.Input()
-	cn.readQ = append(cn.readQ, pending{req: r, born: c.nowApprox})
+	cn.readQ = append(cn.readQ, pending{req: r, born: c.nowApprox, row: row, bank: bk})
+	cn.readsAt[bk]++
 	return true
 }
 
@@ -238,33 +251,48 @@ func (c *Controller) Cycle(now int64) {
 // cycleChannel tries to start one transaction on the channel and
 // reports whether its data bus is busy this cycle.
 func (c *Controller) cycleChannel(now int64, cn *channel) bool {
-	// Write-drain policy: drain when writes pile past 3/4 full, stop
-	// once below 1/4; also drain opportunistically when no reads wait.
-	if len(cn.writeQ) >= c.cfg.QueueSize*3/4 {
-		cn.drainWrites = true
-	}
-	if len(cn.writeQ) <= c.cfg.QueueSize/4 {
-		cn.drainWrites = false
-	}
+	cn.drainWrites = c.drainMode(cn)
 
 	// Commands pipeline ahead of the data bus: a new transaction may
 	// start while the bus is still transferring, as long as the bus
 	// backlog stays within two bursts (so row activations overlap
 	// with data transfer, as in a real controller).
 	if cn.busFreeAt-now < int64(2*c.cfg.BurstCycles) {
-		var q *[]pending
-		if cn.drainWrites || (len(cn.readQ) == 0 && len(cn.writeQ) > 0) {
-			q = &cn.writeQ
-		} else if len(cn.readQ) > 0 {
-			q = &cn.readQ
-		}
-		if q != nil {
+		if q, _ := cn.serving(cn.drainWrites); q != nil {
 			if idx := c.pick(now, cn, *q); idx >= 0 {
 				c.start(now, cn, q, idx)
 			}
 		}
 	}
 	return cn.busFreeAt > now
+}
+
+// drainMode applies the write-drain policy to the channel's current
+// write-queue length: drain when writes pile past 3/4 full, stop once
+// below 1/4, and otherwise keep the current mode. Applying it again
+// while the queue length stays put changes nothing.
+func (c *Controller) drainMode(cn *channel) bool {
+	switch n := len(cn.writeQ); {
+	case n <= c.cfg.QueueSize/4:
+		return false
+	case n >= c.cfg.QueueSize*3/4:
+		return true
+	}
+	return cn.drainWrites
+}
+
+// serving returns the queue the channel serves in drain mode drain,
+// with that queue's per-bank counts: writes while draining, and also
+// opportunistically when no reads wait; otherwise reads. Both are nil
+// when the channel has no work.
+func (cn *channel) serving(drain bool) (*[]pending, []int) {
+	if drain || (len(cn.readQ) == 0 && len(cn.writeQ) > 0) {
+		return &cn.writeQ, cn.writesAt
+	}
+	if len(cn.readQ) > 0 {
+		return &cn.readQ, cn.readsAt
+	}
+	return nil, nil
 }
 
 // pick implements FR-FCFS with a starvation cap: the oldest row-buffer
@@ -276,12 +304,11 @@ func (c *Controller) pick(now int64, cn *channel, q []pending) int {
 	const starvationCap = 1500 // cycles
 	oldest, firstHit := -1, -1
 	for i := range q {
-		_, bk, row := c.decode(q[i].req.Addr)
-		b := &cn.banks[bk]
+		b := &cn.banks[q[i].bank]
 		if b.busyUntil > now {
 			continue
 		}
-		if firstHit < 0 && b.rowValid && b.openRow == row {
+		if firstHit < 0 && b.rowValid && b.openRow == q[i].row {
 			firstHit = i
 		}
 		if oldest < 0 {
@@ -301,15 +328,19 @@ func (c *Controller) pick(now int64, cn *channel, q []pending) int {
 func (c *Controller) start(now int64, cn *channel, q *[]pending, idx int) {
 	p := (*q)[idx]
 	*q = append((*q)[:idx], (*q)[idx+1:]...)
+	if p.isWrite {
+		cn.writesAt[p.bank]--
+	} else {
+		cn.readsAt[p.bank]--
+	}
 
-	_, bk, row := c.decode(p.req.Addr)
-	b := &cn.banks[bk]
+	b := &cn.banks[p.bank]
 	// tCCD: successive column reads to an open row pipeline; the bank
 	// only stays unavailable through precharge/activate.
 	const tCCD = 8
 	var access, bankBusy int64
 	switch {
-	case b.rowValid && b.openRow == row:
+	case b.rowValid && b.openRow == p.row:
 		access = int64(c.cfg.TCAS)
 		bankBusy = tCCD
 		c.Stats.RowHits++
@@ -322,7 +353,7 @@ func (c *Controller) start(now int64, cn *channel, q *[]pending, idx int) {
 		bankBusy = int64(c.cfg.TRP+c.cfg.TRCD) + tCCD
 		c.Stats.RowConflicts++
 	}
-	b.openRow, b.rowValid = row, true
+	b.openRow, b.rowValid = p.row, true
 
 	dataStart := now + access
 	if dataStart < cn.busFreeAt {
@@ -343,32 +374,60 @@ func (c *Controller) start(now int64, cn *channel, q *[]pending, idx int) {
 	}
 }
 
-// NextEvent reports the earliest future cycle at which clocking the
-// controller could change state: any queued request keeps it awake
-// (scheduling decisions are per-cycle); with every queue empty, Cycle
-// only bumps the per-cycle counters, which AccountSkip replays.
+// NextEvent reports the first cycle after now at which Cycle can start
+// a transaction, absent new requests. A channel starts one as soon as
+// three things hold. First, the queue it serves, chosen by the drain
+// mode the current queue lengths give, is not empty. Second, its bus
+// backlog is under two bursts, from busFreeAt-2*BurstCycles+1 on.
+// Third, a bank holding a request of that queue is ready, from its
+// busyUntil on. The starvation cap only changes which request pick
+// takes, never whether one starts. Before that cycle Cycle only bumps
+// the counters, stamps nowApprox and re-applies the drain mode, all of
+// which AccountSkip replays. The cost is O(banks) per channel, from the
+// per-bank queue counts. With every queue empty only an arrival can
+// make the controller due.
 func (c *Controller) NextEvent(now int64) int64 {
+	next := int64(math.MaxInt64)
+	backlog := int64(2*c.cfg.BurstCycles) - 1
 	for i := range c.chans {
 		cn := &c.chans[i]
-		if len(cn.readQ) > 0 || len(cn.writeQ) > 0 {
-			return now + 1
+		_, perBank := cn.serving(c.drainMode(cn))
+		if perBank == nil {
+			continue
+		}
+		t := now + 1
+		if b := cn.busFreeAt - backlog; b > t {
+			t = b
+		}
+		ready := int64(math.MaxInt64)
+		for bk, n := range perBank {
+			if n > 0 && cn.banks[bk].busyUntil < ready {
+				ready = cn.banks[bk].busyUntil
+			}
+		}
+		if ready > t {
+			t = ready
+		}
+		if t < next {
+			next = t
 		}
 	}
-	return math.MaxInt64
+	return next
 }
 
-// AccountSkip replays the per-cycle statistics for the skipped cycles
-// [from, to). Skips only happen with every queue empty (see NextEvent),
-// where each clocked cycle would count Cycles, count BusBusyCycles
-// while a tail transfer drains, clear the write-drain flag and stamp
-// nowApprox.
+// AccountSkip replays the skipped cycles [from, to), which NextEvent
+// guarantees start no transaction, so queues, banks and bus horizons
+// stay put across them. Each such cycle would count Cycles, count
+// BusBusyCycles while any channel's transfer is in flight, re-apply
+// the drain mode to the unchanged queue lengths (idempotent, so once
+// suffices) and stamp nowApprox.
 func (c *Controller) AccountSkip(from, to int64) {
 	c.nowApprox = to - 1
 	c.Stats.Cycles += uint64(to - from)
 	var maxBusFree int64
 	for i := range c.chans {
 		cn := &c.chans[i]
-		cn.drainWrites = false
+		cn.drainWrites = c.drainMode(cn)
 		if cn.busFreeAt > maxBusFree {
 			maxBusFree = cn.busFreeAt
 		}

@@ -5,7 +5,9 @@ import "fmt"
 // Snapshot/restore support. The controller is only captured at
 // quiescence — empty read/write queues on every channel — leaving pure
 // timing state: per-bank open rows and busy horizons, per-channel bus
-// availability and drain mode, and the counters.
+// availability and drain mode, and the counters. The per-bank queue
+// counts are zero at quiescence, so they are not captured; a restore
+// empties the queues and zeroes the counts with them.
 
 // BankState captures one bank's row buffer and availability.
 type BankState struct {
@@ -83,6 +85,8 @@ func (c *Controller) RestoreState(s ControllerState, now int64) error {
 		cn.drainWrites = cs.DrainWrites
 		cn.readQ = cn.readQ[:0]
 		cn.writeQ = cn.writeQ[:0]
+		clear(cn.readsAt)
+		clear(cn.writesAt)
 	}
 	c.nowApprox = now
 	c.Stats = s.Stats
